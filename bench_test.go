@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"elmore"
+	"elmore/internal/rctree"
 	"elmore/internal/repro"
 	"elmore/internal/telemetry"
 	"elmore/internal/topo"
@@ -131,32 +132,41 @@ func BenchmarkElmoreDelays(b *testing.B) {
 	}
 }
 
-func BenchmarkAnalyzeBounds(b *testing.B) {
+// benchTopologies yields, per size, the random tree the scaling
+// ledger has always used ("n=N") and a pure chain ("chain=N"): a chain
+// is the deepest tree of its size, so any per-node cost that grows with
+// depth shows up there as superlinear scaling.
+func benchTopologies(b *testing.B, run func(b *testing.B, tree *rctree.Tree)) {
 	for _, n := range benchSizes() {
-		tree := topo.Random(42, topo.RandomOptions{N: n})
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := elmore.Analyze(tree); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		random := topo.Random(42, topo.RandomOptions{N: n})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { run(b, random) })
+	}
+	for _, n := range benchSizes() {
+		chain := topo.Chain(n, 1, 1e-15)
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) { run(b, chain) })
 	}
 }
 
-func BenchmarkMomentsOrder6(b *testing.B) {
-	for _, n := range benchSizes() {
-		tree := topo.Random(42, topo.RandomOptions{N: n})
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := elmore.Moments(tree, 6); err != nil {
-					b.Fatal(err)
-				}
+func BenchmarkAnalyzeBounds(b *testing.B) {
+	benchTopologies(b, func(b *testing.B, tree *rctree.Tree) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := elmore.Analyze(tree); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+}
+
+func BenchmarkMomentsOrder6(b *testing.B) {
+	benchTopologies(b, func(b *testing.B, tree *rctree.Tree) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := elmore.Moments(tree, 6); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkExactSystemBuild(b *testing.B) {

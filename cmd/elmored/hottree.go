@@ -2,6 +2,7 @@ package main
 
 import (
 	"container/list"
+	"errors"
 	"hash/fnv"
 	"sync"
 
@@ -23,6 +24,15 @@ type hotTrees struct {
 	bySrc map[uint64]uint64        // source hash -> tree fingerprint
 	byFP  map[uint64]*list.Element // fingerprint -> LRU element
 	lru   *list.List               // front = most recently used
+
+	loading map[uint64]*hotLoad // source hash -> parse in flight
+}
+
+// hotLoad is one in-flight parse; done closes once tree/err are set.
+type hotLoad struct {
+	done chan struct{}
+	tree *rctree.Tree
+	err  error
 }
 
 // hotEntry is one cached tree plus the source hashes that resolve to
@@ -41,6 +51,8 @@ func newHotTrees(max int) *hotTrees {
 		bySrc: make(map[uint64]uint64),
 		byFP:  make(map[uint64]*list.Element),
 		lru:   list.New(),
+
+		loading: make(map[uint64]*hotLoad),
 	}
 }
 
@@ -73,43 +85,70 @@ func (c *hotTrees) loader(fallback batch.TreeLoader) batch.TreeLoader {
 				return tree, nil
 			}
 		}
+		if l, ok := c.loading[src]; ok {
+			// Another job is parsing the same source right now: wait for
+			// its result instead of parsing it a second time.
+			c.mu.Unlock()
+			<-l.done
+			if l.err != nil {
+				return nil, l.err
+			}
+			telemetry.C("serve.hot_tree_hits").Inc()
+			return l.tree, nil
+		}
+		// The preset error is what waiters see if fallback panics (the
+		// batch engine recovers the panic for this job only).
+		l := &hotLoad{done: make(chan struct{}), err: errors.New("elmored: concurrent load of this net panicked")}
+		c.loading[src] = l
 		c.mu.Unlock()
+		defer func() {
+			c.mu.Lock()
+			delete(c.loading, src)
+			c.mu.Unlock()
+			close(l.done)
+		}()
 
-		tree, err := fallback(net, netlist)
-		if err != nil {
-			return nil, err
+		l.tree, l.err = fallback(net, netlist)
+		if l.err == nil {
+			telemetry.C("serve.hot_tree_misses").Inc()
+			l.tree = c.insert(src, l.tree)
 		}
-		telemetry.C("serve.hot_tree_misses").Inc()
-		fp := tree.Fingerprint()
-
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if el, ok := c.byFP[fp]; ok {
-			// Another source already produced this exact tree: share the
-			// entry, serve the canonical copy.
-			e := el.Value.(*hotEntry)
-			if _, indexed := c.bySrc[src]; !indexed {
-				c.bySrc[src] = fp
-				e.srcs = append(e.srcs, src)
-			}
-			c.lru.MoveToFront(el)
-			return e.tree, nil
-		}
-		e := &hotEntry{fp: fp, tree: tree, srcs: []uint64{src}}
-		c.bySrc[src] = fp
-		c.byFP[fp] = c.lru.PushFront(e)
-		for c.lru.Len() > c.max {
-			back := c.lru.Back()
-			victim := back.Value.(*hotEntry)
-			c.lru.Remove(back)
-			delete(c.byFP, victim.fp)
-			for _, s := range victim.srcs {
-				delete(c.bySrc, s)
-			}
-			telemetry.C("serve.hot_tree_evictions").Inc()
-		}
-		return tree, nil
+		return l.tree, l.err
 	}
+}
+
+// insert caches a freshly parsed tree under its source hash and returns
+// the canonical copy: the cached entry when another source already
+// produced this exact tree, else tree itself.
+func (c *hotTrees) insert(src uint64, tree *rctree.Tree) *rctree.Tree {
+	fp := tree.Fingerprint()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byFP[fp]; ok {
+		// Another source already produced this exact tree: share the
+		// entry, serve the canonical copy.
+		e := el.Value.(*hotEntry)
+		if _, indexed := c.bySrc[src]; !indexed {
+			c.bySrc[src] = fp
+			e.srcs = append(e.srcs, src)
+		}
+		c.lru.MoveToFront(el)
+		return e.tree
+	}
+	e := &hotEntry{fp: fp, tree: tree, srcs: []uint64{src}}
+	c.bySrc[src] = fp
+	c.byFP[fp] = c.lru.PushFront(e)
+	for c.lru.Len() > c.max {
+		back := c.lru.Back()
+		victim := back.Value.(*hotEntry)
+		c.lru.Remove(back)
+		delete(c.byFP, victim.fp)
+		for _, s := range victim.srcs {
+			delete(c.bySrc, s)
+		}
+		telemetry.C("serve.hot_tree_evictions").Inc()
+	}
+	return tree
 }
 
 // Len reports the number of cached trees.

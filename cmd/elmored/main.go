@@ -118,6 +118,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		defer telemetry.SetDefault(prev)
 	}
 
+	// Install the drain handler before the listener opens: once a
+	// client can see a healthy /healthz, a SIGTERM must drain, never
+	// kill the process with the default signal action.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
 	s := newServer(sess.Context(), cfg)
 	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: 10 * time.Second}
 	ln, err := net.Listen("tcp", *addr)
@@ -128,10 +135,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case err := <-serveErr:

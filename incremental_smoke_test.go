@@ -28,11 +28,9 @@ func TestIncrementalSpeedupSmoke(t *testing.T) {
 	c0 := tree.C(leaf)
 
 	// Full path: mutate the tree, recompute every bound from scratch.
-	// One measurement is enough — on a pure chain the full pipeline is
-	// O(n·depth) in the PRH T_R walks (~a minute at n=100k), and the
-	// assertion is a 10x floor, not a tight ratio. The resulting
-	// Analysis doubles as the incremental side's starting state, so the
-	// lane pays the quadratic full pipeline exactly once.
+	// One measurement of the O(n) full pipeline; the assertion is a
+	// 10x floor, not a tight ratio. The resulting Analysis doubles as
+	// the incremental side's starting state.
 	if err := tree.SetC(leaf, 2*c0); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"elmore/internal/health"
 	"elmore/internal/moments"
@@ -105,6 +106,11 @@ func AnalyzeWithMoments(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*
 	return analyze(ctx, t, ms)
 }
 
+// scratchArenas recycles sweep arenas across Analyze calls whose
+// context carries none. The pool drops idle arenas at garbage
+// collection, so it pins no memory for long.
+var scratchArenas = sync.Pool{New: func() any { return new(moments.Arena) }}
+
 func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, error) {
 	_, sp := telemetry.Start(ctx, "core.analyze")
 	sp.AttrInt("nodes", int64(t.N()))
@@ -115,8 +121,14 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	// A batch worker's context carries its grow-only scratch arena: the
 	// transient sweep buffers of the moment kernels come from it, so a
 	// worker evaluating thousands of nets reuses one buffer instead of
-	// allocating 2n floats twice per job.
+	// allocating 2n floats twice per job. A plain Analyze (no arena in
+	// the context) draws one from a pool instead, so back-to-back
+	// calls on small nets skip those two allocations as well.
 	ar := moments.ArenaFrom(ctx)
+	if ar == nil {
+		ar = scratchArenas.Get().(*moments.Arena)
+		defer scratchArenas.Put(ar)
+	}
 	if ms == nil {
 		var err error
 		ms, err = moments.ComputeWith(t, 3, ar)
@@ -136,30 +148,44 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	if health.Enabled() {
 		treeLabel = health.TreeLabel(t.N(), t.Fingerprint())
 	}
-	for i := 0; i < t.N(); i++ {
-		td := ms.Elmore(i)
-		sigma := ms.Sigma(i)
-		b := Bounds{
-			Node:       t.Name(i),
-			Elmore:     td,
-			Sigma:      sigma,
-			Mu2:        ms.Mu2(i),
-			Mu3:        ms.Mu3(i),
-			Skewness:   ms.Skewness(i),
-			Lower:      math.Max(td-sigma, 0),
-			SinglePole: math.Ln2 * td,
-			RiseTime:   RiseTimeScale * sigma,
-		}
-		b.PRHTmin = PRHTmin(prh.TP, td, prh.TR(i), 0.5)
-		b.PRHTmax = PRHTmax(prh.TP, td, prh.TR(i), 0.5)
-		a.Bounds[i] = b
-		if err := checkBounds(treeLabel, &b); err != nil {
+	mt := ms.Tree()
+	for i := range a.Bounds {
+		m1, m2, m3 := ms.Moments3(i)
+		b := &a.Bounds[i]
+		setNodeBounds(b, t.Name(i), mt, i, m1, m2, m3, prh.TP, prh.TR(i))
+		if err := checkBounds(treeLabel, b); err != nil {
 			return nil, err
 		}
 	}
 	telemetry.C("core.analyses").Inc()
 	telemetry.C("core.nodes_analyzed").Add(int64(t.N()))
 	return a, nil
+}
+
+// setNodeBounds fills b with node i's step-input bounds from its
+// moments m1..m3 and its PRH terms: one read of each input, mu2 and
+// mu3 evaluated once, both PRH bounds from one branch evaluation. It
+// is the per-node kernel Analyze and Reanalyze share, so a refreshed
+// entry is bit-identical to a fresh one. mt is the tree the moments
+// describe; it labels the sigma_degenerate health note.
+func setNodeBounds(b *Bounds, name string, mt *rctree.Tree, i int, m1, m2, m3, tp, tr float64) {
+	td := -m1
+	mu2 := moments.Mu2Of(m1, m2)
+	mu3 := moments.Mu3Of(m1, m2, m3)
+	sigma := moments.SigmaOf(mt, i, mu2)
+	b.Node = name
+	b.Elmore = td
+	b.Sigma = sigma
+	b.Mu2 = mu2
+	b.Mu3 = mu3
+	b.Skewness = moments.Skew(mu2, mu3)
+	b.Lower = td - sigma
+	if b.Lower <= 0 { // math.Max(td-sigma, 0) without the call: NaN stays NaN, -0 becomes +0
+		b.Lower = 0
+	}
+	b.SinglePole = math.Ln2 * td
+	b.PRHTmin, b.PRHTmax = prhWindow(tp, td, tr, 0.5)
+	b.RiseTime = RiseTimeScale * sigma
 }
 
 // checkBounds runs the paper's invariants on one node's freshly
@@ -171,6 +197,12 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 // checks carry small tolerances (relative td^2 scale for mu2, absolute
 // for the dimensionless skewness).
 func checkBounds(tree string, b *Bounds) error {
+	tol := 1e-12 * math.Abs(b.Elmore)
+	if health.IsFinite(b.Elmore) && health.IsFinite(b.Mu2) &&
+		b.Mu2 >= -1e-9*b.Elmore*b.Elmore && b.Skewness >= -1e-6 &&
+		b.Lower <= b.Elmore+tol && b.PRHTmin <= b.PRHTmax+tol {
+		return nil // the passing path: no event to build
+	}
 	if err := health.CheckFinite("core.nonfinite", tree, b.Node, "elmore", b.Elmore); err != nil {
 		return err
 	}
@@ -199,7 +231,6 @@ func checkBounds(tree string, b *Bounds) error {
 			return err
 		}
 	}
-	tol := 1e-12 * math.Abs(b.Elmore)
 	if !(b.Lower <= b.Elmore+tol) {
 		if err := health.Violate(health.Event{
 			Check:  "bounds.order",
@@ -247,18 +278,8 @@ func (a *Analysis) PRH() *moments.PRHTerms { return a.prh }
 // instantaneous step response, so every threshold is crossed at t = 0
 // rather than the 0/0 = NaN the raw formula would produce.
 func PRHTmin(tp, td, tr, v float64) float64 {
-	switch {
-	case v < 0 || v >= 1:
-		return math.NaN()
-	case tp <= 0:
-		return 0
-	case v <= 1-td/tp:
-		return 0
-	case v <= 1-tr/tp:
-		return td - tp*(1-v)
-	default:
-		return td - tr + tr*math.Log(tr/(tp*(1-v)))
-	}
+	tmin, _ := prhWindow(tp, td, tr, v)
+	return tmin
 }
 
 // PRHTmax evaluates the Penfield-Rubinstein-Horowitz upper waveform
@@ -272,16 +293,27 @@ func PRHTmin(tp, td, tr, v float64) float64 {
 // Like PRHTmin it defines the capacitance-free T_P = 0 case as an
 // instantaneous response: every threshold is crossed at t = 0.
 func PRHTmax(tp, td, tr, v float64) float64 {
+	_, tmax := prhWindow(tp, td, tr, v)
+	return tmax
+}
+
+// prhWindow evaluates PRHTmin and PRHTmax together, sharing the branch
+// test both bounds start from. Both exported forms go through it, so
+// every caller sees the same bits.
+func prhWindow(tp, td, tr, v float64) (tmin, tmax float64) {
 	switch {
 	case v < 0 || v >= 1:
-		return math.NaN()
+		return math.NaN(), math.NaN()
 	case tp <= 0:
-		return 0
+		return 0, 0
 	case v <= 1-td/tp:
-		return td/(1-v) - tr
+		return 0, td/(1-v) - tr
+	case v <= 1-tr/tp:
+		tmin = td - tp*(1-v)
 	default:
-		return tp - tr + tp*math.Log(td/(tp*(1-v)))
+		tmin = td - tr + tr*math.Log(tr/(tp*(1-v)))
 	}
+	return tmin, tp - tr + tp*math.Log(td/(tp*(1-v)))
 }
 
 // InputBounds are the Corollary 2/3 bounds on the 50% delay for a
@@ -325,10 +357,6 @@ func (a *Analysis) ForInput(i int, sig signal.Signal) (InputBounds, error) {
 	if outMu2 > 0 {
 		outSigma = math.Sqrt(outMu2)
 	}
-	skew := 0.0
-	if outMu2 > 0 {
-		skew = outMu3 / math.Pow(outMu2, 1.5)
-	}
 	lower := outMean - outSigma
 	if lower < 0 {
 		lower = 0
@@ -337,7 +365,7 @@ func (a *Analysis) ForInput(i int, sig signal.Signal) (InputBounds, error) {
 		Upper:       outMean - in50,
 		Lower:       lower - in50,
 		OutputSigma: outSigma,
-		OutputSkew:  skew,
+		OutputSkew:  moments.Skew(outMu2, outMu3),
 	}, nil
 }
 
@@ -351,9 +379,7 @@ func (a *Analysis) WindowAt(i int, v float64) (lo, hi float64, err error) {
 		return 0, 0, fmt.Errorf("core: threshold must be in (0,1), got %v", v)
 	}
 	b := a.Bounds[i]
-	tr := a.prh.TR(i)
-	lo = PRHTmin(a.TP, b.Elmore, tr, v)
-	hi = PRHTmax(a.TP, b.Elmore, tr, v)
+	lo, hi = prhWindow(a.TP, b.Elmore, a.prh.TR(i), v)
 	if v == 0.5 {
 		lo = math.Max(lo, b.Lower)
 		hi = math.Min(hi, b.Elmore)

@@ -67,23 +67,10 @@ func (a *Analysis) Reanalyze(inc *moments.Incremental, sinks []int) error {
 		if i < 0 || i >= len(a.Bounds) {
 			return fmt.Errorf("core: Reanalyze sink index %d out of range [0,%d)", i, len(a.Bounds))
 		}
-		td := inc.Elmore(i)
-		sigma := inc.Sigma(i)
-		b := Bounds{
-			Node:       a.Tree.Name(i),
-			Elmore:     td,
-			Sigma:      sigma,
-			Mu2:        inc.Mu2(i),
-			Mu3:        inc.Mu3(i),
-			Skewness:   inc.Skewness(i),
-			Lower:      math.Max(td-sigma, 0),
-			SinglePole: math.Ln2 * td,
-			RiseTime:   RiseTimeScale * sigma,
-		}
-		b.PRHTmin = PRHTmin(a.TP, td, inc.TR(i), 0.5)
-		b.PRHTmax = PRHTmax(a.TP, td, inc.TR(i), 0.5)
-		a.Bounds[i] = b
-		if err := checkBounds(treeLabel, &b); err != nil {
+		m1, m2, m3 := inc.Moments3(i)
+		b := &a.Bounds[i]
+		setNodeBounds(b, a.Tree.Name(i), inc.Tree(), i, m1, m2, m3, a.TP, inc.TR(i))
+		if err := checkBounds(treeLabel, b); err != nil {
 			return err
 		}
 	}

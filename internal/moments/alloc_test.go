@@ -3,6 +3,7 @@ package moments
 import (
 	"testing"
 
+	"elmore/internal/rctree"
 	"elmore/internal/topo"
 )
 
@@ -57,19 +58,37 @@ func TestElmoreDelaysAllocBudget(t *testing.T) {
 // The fused ComputePRH must produce bit-identical terms to computing
 // each ingredient with its standalone public API: the sweeps are the
 // same gather-form kernels in the same order, so there is no legitimate
-// source of divergence — not even in the last ulp.
+// source of divergence — not even in the last ulp. T_R is checked
+// against a per-node root-first walk over Tree.DownstreamC with the
+// same recurrence step.
 func TestComputePRHBitIdenticalToStandalone(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		tree := topo.Random(seed, topo.RandomOptions{N: 500})
 		p := ComputePRH(tree)
 		td := ElmoreDelays(tree)
 		down := tree.DownstreamC()
+		var path []int
 		for i := 0; i < tree.N(); i++ {
 			if p.TD[i] != td[i] {
 				t.Fatalf("seed %d node %d: fused TD %v != ElmoreDelays %v", seed, i, p.TD[i], td[i])
 			}
-			if p.down[i] != down[i] {
-				t.Fatalf("seed %d node %d: fused down %v != DownstreamC %v", seed, i, p.down[i], down[i])
+			path = path[:0]
+			for j := i; j != rctree.Source; j = tree.Parent(j) {
+				path = append(path, j)
+			}
+			var rp, s float64
+			for k := len(path) - 1; k >= 0; k-- {
+				j := path[k]
+				a := tree.R(j)
+				if k < len(path)-1 {
+					a += rp
+				}
+				s = trStep(s, tree.R(j), a, rp, down[j])
+				rp = a
+			}
+			if want := s / rp; p.TR(i) != want || p.PathResistance(i) != rp {
+				t.Fatalf("seed %d node %d: fused T_R %v, R_ii %v; root-first walk %v, %v",
+					seed, i, p.TR(i), p.PathResistance(i), want, rp)
 			}
 		}
 	}

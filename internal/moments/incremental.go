@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"elmore/internal/health"
 	"elmore/internal/rctree"
 	"elmore/internal/telemetry"
 )
@@ -13,12 +12,13 @@ import (
 // Incremental is a delta-update engine for the order-3 moment and PRH
 // state of one RC tree: it owns mutable copies of the element values
 // plus every derived per-node array (downstream capacitance, m1..m3,
-// path resistance, T_P) in the compiled layout, and re-cleans only the
-// minimal dirty region after SetR/SetC perturbations. It exists so an
-// optimizer's perturb → evaluate → revert inner loop stops paying the
-// full Compile-rebuild + Compute + ComputePRH + per-node bound rebuild
-// an rctree.Tree mutation costs (SetR/SetC invalidate the whole
-// compiled plan), and pays only for what actually has to move.
+// path resistance, the T_R numerator, T_P) in the compiled layout, and
+// re-cleans only the minimal dirty region after SetR/SetC
+// perturbations. It exists so an optimizer's perturb → evaluate →
+// revert inner loop stops paying the full Compile-rebuild + Compute +
+// ComputePRH + per-node bound rebuild an rctree.Tree mutation costs
+// (SetR/SetC invalidate the whole compiled plan), and pays only for
+// what actually has to move.
 //
 // Every value the engine serves is bit-identical to a fresh
 // moments.Compute / ComputePRH on a tree carrying the same element
@@ -67,12 +67,13 @@ type Incremental struct {
 	// (breadth-first) order. w1 is both the order-1 upward sum and the
 	// downstream capacitance (m0 = 1 makes them the same array); m1..m3
 	// are the transfer-function moments; rkk is the source-to-node path
-	// resistance.
+	// resistance and trS the T_R numerator sum_k R_ki^2 C_k.
 	r, c   []float64
 	w1, m1 []float64
 	w2, m2 []float64
 	w3, m3 []float64
 	rkk    []float64
+	trS    []float64
 	tp     float64
 	level  []int32 // depth level of each compiled index
 
@@ -145,7 +146,7 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 	}
 	cp := rctree.Compile(t)
 	n := cp.N()
-	back := make([]float64, 9*n)
+	back := make([]float64, 10*n)
 	inc := &Incremental{
 		tree: t,
 		cp:   cp,
@@ -159,6 +160,7 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		w3:   back[6*n : 7*n : 7*n],
 		m3:   back[7*n : 8*n : 8*n],
 		rkk:  back[8*n : 9*n : 9*n],
+		trS:  back[9*n : 10*n : 10*n],
 
 		level:             make([]int32, n),
 		dirtyBits:         make([]uint8, n),
@@ -378,53 +380,36 @@ func (inc *Incremental) M(q, i int) float64 {
 	}
 }
 
-// Mu2 returns the impulse-response variance 2 m2 - m1^2 at node i.
-func (inc *Incremental) Mu2(i int) float64 {
+// Moments3 returns m1, m2 and m3 at node i in one read, flushing
+// orders 2-3 once.
+func (inc *Incremental) Moments3(i int) (m1, m2, m3 float64) {
 	inc.flush3()
 	ci := inc.cp.FromUser[i]
-	m1 := inc.m1[ci]
-	m2 := inc.m2[ci]
-	return 2*m2 - m1*m1
+	return inc.m1[ci], inc.m2[ci], inc.m3[ci]
+}
+
+// Mu2 returns the impulse-response variance 2 m2 - m1^2 at node i.
+func (inc *Incremental) Mu2(i int) float64 {
+	m1, m2, _ := inc.Moments3(i)
+	return Mu2Of(m1, m2)
 }
 
 // Mu3 returns the third central moment at node i.
 func (inc *Incremental) Mu3(i int) float64 {
-	inc.flush3()
-	ci := inc.cp.FromUser[i]
-	m1 := inc.m1[ci]
-	m2 := inc.m2[ci]
-	m3 := inc.m3[ci]
-	return -6*m3 + 6*m1*m2 - 2*m1*m1*m1
+	return Mu3Of(inc.Moments3(i))
 }
 
 // Sigma returns sqrt(mu2) with the Set.Sigma degenerate contract:
 // mu2 <= 0 clamps to exactly +0 (with a health note when a monitor is
 // installed).
 func (inc *Incremental) Sigma(i int) float64 {
-	mu2 := inc.Mu2(i)
-	if mu2 <= 0 {
-		if health.Enabled() {
-			t := inc.tree
-			health.Note(health.Event{
-				Check:  "moments.sigma_degenerate",
-				Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
-				Node:   t.Name(i),
-				Detail: "mu2 <= 0 clamped to sigma = +0",
-				Values: map[string]health.F{"mu2": health.F(mu2)},
-			})
-		}
-		return 0
-	}
-	return math.Sqrt(mu2)
+	return SigmaOf(inc.tree, i, inc.Mu2(i))
 }
 
 // Skewness returns mu3 / mu2^(3/2), zero at zero-variance nodes.
 func (inc *Incremental) Skewness(i int) float64 {
-	mu2 := inc.Mu2(i)
-	if mu2 <= 0 {
-		return 0
-	}
-	return inc.Mu3(i) / math.Pow(mu2, 1.5)
+	m1, m2, m3 := inc.Moments3(i)
+	return Skew(Mu2Of(m1, m2), Mu3Of(m1, m2, m3))
 }
 
 // TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k.
@@ -433,21 +418,14 @@ func (inc *Incremental) TP() float64 {
 	return inc.tp
 }
 
-// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii — the same walk as
-// PRHTerms.TR over the engine's arrays, so the bits match.
+// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii, flushing order-1 state
+// only. The numerator is maintained by the order-1 sweeps with the
+// same trStep recurrence ComputePRH runs, so the bits match a fresh
+// PRHTerms.TR, and a query is an array read.
 func (inc *Incremental) TR(i int) float64 {
 	inc.flush1()
-	t := inc.tree
-	from := inc.cp.FromUser
-	var sum float64
-	prevDown := 0.0
-	for j := i; j != rctree.Source; j = t.Parent(j) {
-		cj := from[j]
-		attachedC := inc.w1[cj] - prevDown
-		sum += inc.rkk[cj] * inc.rkk[cj] * attachedC
-		prevDown = inc.w1[cj]
-	}
-	return sum / inc.rkk[from[i]]
+	ci := inc.cp.FromUser[i]
+	return inc.trS[ci] / inc.rkk[ci]
 }
 
 // DrainMoved appends to dst the tree indices of every node whose
@@ -475,7 +453,7 @@ func (inc *Incremental) clearMoved() {
 
 // --- Flush machinery ---
 
-// flush1 re-cleans the order-1 state (w1, m1, rkk): the genuinely
+// flush1 re-cleans the order-1 state (w1, m1, rkk, trS): the genuinely
 // local kernels. ΔC dirt re-sums w1 along the dirty nodes' root paths
 // (ancestor closure, children gathered exactly like the full upward
 // sweep); m1 then re-sweeps the subtrees hanging from the topmost
@@ -483,7 +461,8 @@ func (inc *Incremental) clearMoved() {
 // for ΔC dirt it is the affected root components (m1 at the component
 // root depends on the total subtree capacitance, so the whole
 // component moves). ΔR dirt re-sweeps rkk over the perturbed subtrees
-// only.
+// only. trS depends on exactly what m1 does plus rkk, so it moves with
+// m1 and is swept with it, after rkk.
 func (inc *Incremental) flush1() {
 	if inc.stage1Clean {
 		return
@@ -493,46 +472,64 @@ func (inc *Incremental) flush1() {
 	inc.stats.Flushes++
 	telemetry.C("incremental.flushes").Inc()
 
-	// Plan the regions. Ancestor closure of C-dirty nodes:
-	anc := inc.ancBuf[:0]
-	for _, k := range inc.dirtyC1 {
-		for j := k; j != rctree.Source; j = int32(cp.Parent[j]) {
-			if inc.dirtyBits[j]&16 != 0 {
-				break // already collected by an earlier walk
-			}
-			inc.dirtyBits[j] |= 16
-			anc = append(anc, j)
-		}
-	}
-	// m1 frontier: component roots for C dirt (topmost moved w1 is the
-	// root), the nodes themselves for R dirt.
-	inc.resetSpans(inc.spanLo, inc.spanHi)
-	for _, j := range anc {
-		if cp.Parent[j] == rctree.Source {
-			inc.extendSpan(inc.spanLo, inc.spanHi, j)
-		}
-	}
-	for _, k := range inc.dirtyR1 {
-		inc.extendSpan(inc.spanLo, inc.spanHi, k)
-	}
-	m1Touched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
-
-	// rkk region: subtrees of R-dirty nodes only.
-	rkkTouched := 0
-	if len(inc.dirtyR1) > 0 {
-		inc.resetSpans(inc.wspanLo, inc.wspanHi)
-		for _, k := range inc.dirtyR1 {
-			inc.extendSpan(inc.wspanLo, inc.wspanHi, k)
-		}
-		rkkTouched = inc.propagateSpansDown(inc.wspanLo, inc.wspanHi)
-	}
-
-	planned := len(anc) + m1Touched + rkkTouched
 	full := 2 * n
 	if len(inc.dirtyR1) > 0 {
 		full = 3 * n
 	}
-	if float64(planned) > inc.CrossoverFraction*float64(full) {
+	limit := inc.CrossoverFraction * float64(full)
+	// C dirt on a one-component tree moves m1 at every node, and the
+	// ancestor closure holds at least the deepest dirty node's root
+	// path. When that lower bound on the planned work already crosses
+	// over, the planning walks are skipped: they are O(depth) and
+	// would only reach the same decision.
+	fallback := false
+	if inc.singleRoot() && len(inc.dirtyC1) > 0 {
+		deepest := int32(0)
+		for _, k := range inc.dirtyC1 {
+			deepest = max(deepest, inc.level[k])
+		}
+		fallback = float64(int(deepest)+1+n) > limit
+	}
+
+	anc := inc.ancBuf[:0]
+	planned, rkkTouched := 0, 0
+	if !fallback {
+		// Plan the regions. Ancestor closure of C-dirty nodes:
+		for _, k := range inc.dirtyC1 {
+			for j := k; j != rctree.Source; j = int32(cp.Parent[j]) {
+				if inc.dirtyBits[j]&16 != 0 {
+					break // already collected by an earlier walk
+				}
+				inc.dirtyBits[j] |= 16
+				anc = append(anc, j)
+			}
+		}
+		// m1 frontier: component roots for C dirt (topmost moved w1 is
+		// the root), the nodes themselves for R dirt.
+		inc.resetSpans(inc.spanLo, inc.spanHi)
+		for _, j := range anc {
+			if cp.Parent[j] == rctree.Source {
+				inc.extendSpan(inc.spanLo, inc.spanHi, j)
+			}
+		}
+		for _, k := range inc.dirtyR1 {
+			inc.extendSpan(inc.spanLo, inc.spanHi, k)
+		}
+		m1Touched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
+
+		// rkk region: subtrees of R-dirty nodes only.
+		if len(inc.dirtyR1) > 0 {
+			inc.resetSpans(inc.wspanLo, inc.wspanHi)
+			for _, k := range inc.dirtyR1 {
+				inc.extendSpan(inc.wspanLo, inc.wspanHi, k)
+			}
+			rkkTouched = inc.propagateSpansDown(inc.wspanLo, inc.wspanHi)
+		}
+		planned = len(anc) + m1Touched + rkkTouched
+		fallback = float64(planned) > limit
+	}
+
+	if fallback {
 		inc.stats.FullFallbacks++
 		telemetry.C("incremental.full_fallbacks").Inc()
 		inc.fullSweeps(true, false)
@@ -552,14 +549,6 @@ func (inc *Incremental) flush1() {
 			}
 			inc.w1[j] = d
 		}
-		// m1 over the frontier subtrees, parents before children.
-		inc.sweepDown(inc.spanLo, inc.spanHi, func(i int32) {
-			v := -(inc.r[i] * inc.w1[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m1[p]
-			}
-			inc.m1[i] = v
-		})
 		// rkk over the R-dirty subtrees.
 		if rkkTouched > 0 {
 			inc.sweepDown(inc.wspanLo, inc.wspanHi, func(i int32) {
@@ -570,6 +559,19 @@ func (inc *Incremental) flush1() {
 				inc.rkk[i] = a
 			})
 		}
+		// m1 and trS over the frontier subtrees, parents before
+		// children.
+		inc.sweepDown(inc.spanLo, inc.spanHi, func(i int32) {
+			ri, d := inc.r[i], inc.w1[i]
+			v := -(ri * d)
+			if p := par[i]; p != rctree.Source {
+				v += inc.m1[p]
+				inc.trS[i] = trStep(inc.trS[p], ri, inc.rkk[i], inc.rkk[p], d)
+			} else {
+				inc.trS[i] = trStep(0, ri, inc.rkk[i], 0, d)
+			}
+			inc.m1[i] = v
+		})
 		inc.stats.NodesTouched += int64(planned)
 		telemetry.C("incremental.nodes_touched").Add(int64(planned))
 	}
@@ -589,6 +591,10 @@ func (inc *Incremental) flush1() {
 	inc.stage1Clean = true
 }
 
+// singleRoot reports whether the tree is one root component, so any C
+// edit moves m1..m3 at every node.
+func (inc *Incremental) singleRoot() bool { return inc.cp.LevelStart[1] == 1 }
+
 // flush3 re-cleans orders 2-3 and T_P, after ensuring order 1 is
 // clean. The dependency cone forces the m2/m3 sweeps over the full
 // affected root components (see the type comment); the w2 sweep is the
@@ -605,73 +611,74 @@ func (inc *Incremental) flush3() {
 	inc.stats.Flushes++
 	telemetry.C("incremental.flushes").Inc()
 
-	// m1-moved region since the last stage-3 flush: subtrees of R-dirty
-	// nodes, full components of C-dirty nodes. Its ancestor closure
-	// (the w2 region) adds the frontier nodes' root paths.
-	inc.resetSpans(inc.spanLo, inc.spanHi)
-	anc := inc.ancBuf[:0]
-	frontier := anc // reuse backing for the frontier list
-	nf := 0
-	mark := func(j int32) {
-		if inc.dirtyBits[j]&16 == 0 {
-			inc.dirtyBits[j] |= 16
-			frontier = append(frontier, j)
-			nf++
+	// C dirt on a one-component tree moves all four sweeps over the
+	// whole tree (planned = 4n), so any fraction below 1 crosses over
+	// without the O(depth) planning walks.
+	fallback := inc.singleRoot() && len(inc.dirtyC3) > 0 && inc.CrossoverFraction < 1
+	frontier := inc.ancBuf[:0]
+	planned := 0
+	if !fallback {
+		// m1-moved region since the last stage-3 flush: subtrees of
+		// R-dirty nodes, full components of C-dirty nodes. Its ancestor
+		// closure (the w2 region) adds the frontier nodes' root paths.
+		mark := func(j int32) {
+			if inc.dirtyBits[j]&16 == 0 {
+				inc.dirtyBits[j] |= 16
+				frontier = append(frontier, j)
+			}
 		}
-	}
-	for _, k := range inc.dirtyC3 {
-		// Component root of k.
-		j := k
-		for par[j] != rctree.Source {
-			j = int32(par[j])
+		for _, k := range inc.dirtyC3 {
+			// Component root of k.
+			j := k
+			for par[j] != rctree.Source {
+				j = int32(par[j])
+			}
+			mark(j)
 		}
-		mark(j)
-	}
-	for _, k := range inc.dirtyR3 {
-		mark(k)
-	}
-	for _, f := range frontier {
-		inc.extendSpan(inc.spanLo, inc.spanHi, f)
-	}
-	m1Moved := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
+		for _, k := range inc.dirtyR3 {
+			mark(k)
+		}
+		inc.resetSpans(inc.spanLo, inc.spanHi)
+		for _, f := range frontier {
+			inc.extendSpan(inc.spanLo, inc.spanHi, f)
+		}
+		inc.propagateSpansDown(inc.spanLo, inc.spanHi)
 
-	// w2 region = m1-moved spans ∪ root paths of the frontier.
-	copy(inc.wspanLo, inc.spanLo)
-	copy(inc.wspanHi, inc.spanHi)
-	pathNodes := 0
-	for _, f := range frontier {
-		for j := int32(par[f]); j != rctree.Source; j = int32(par[j]) {
-			inc.extendSpan(inc.wspanLo, inc.wspanHi, j)
-			pathNodes++
+		// w2 region = m1-moved spans ∪ root paths of the frontier.
+		copy(inc.wspanLo, inc.spanLo)
+		copy(inc.wspanHi, inc.spanHi)
+		for _, f := range frontier {
+			for j := int32(par[f]); j != rctree.Source; j = int32(par[j]) {
+				inc.extendSpan(inc.wspanLo, inc.wspanHi, j)
+			}
 		}
-	}
-	w2Touched := inc.spanSize(inc.wspanLo, inc.wspanHi)
+		w2Touched := inc.spanSize(inc.wspanLo, inc.wspanHi)
 
-	// m2/m3 (and w3) regions: full components of everything dirty —
-	// the w2 dirt reaches the component roots, and every descendant of
-	// a dirty root moves.
-	inc.resetSpans(inc.spanLo, inc.spanHi)
-	for _, f := range frontier {
-		j := f
-		for par[j] != rctree.Source {
-			j = int32(par[j])
+		// m2/m3 (and w3) regions: full components of everything dirty —
+		// the w2 dirt reaches the component roots, and every descendant
+		// of a dirty root moves.
+		inc.resetSpans(inc.spanLo, inc.spanHi)
+		for _, f := range frontier {
+			j := f
+			for par[j] != rctree.Source {
+				j = int32(par[j])
+			}
+			inc.extendSpan(inc.spanLo, inc.spanHi, j)
 		}
-		inc.extendSpan(inc.spanLo, inc.spanHi, j)
+		compTouched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
+		planned = w2Touched + 3*compTouched
+		fallback = float64(planned) > inc.CrossoverFraction*float64(4*n)
 	}
-	compTouched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
 
-	planned := w2Touched + 3*compTouched
-	if float64(planned) > inc.CrossoverFraction*float64(4*n) {
+	if fallback {
 		inc.stats.FullFallbacks++
 		telemetry.C("incremental.full_fallbacks").Inc()
 		inc.fullSweeps(false, true)
 		inc.stats.NodesTouched += int64(4 * n)
 		telemetry.C("incremental.nodes_touched").Add(int64(4 * n))
 		// The moved hull is everything.
-		for l := 0; l < cp.Levels(); l++ {
-			inc.movedLo[l] = cp.LevelStart[l]
-			inc.movedHi[l] = cp.LevelStart[l+1]
-		}
+		copy(inc.movedLo, cp.LevelStart[:cp.Levels()])
+		copy(inc.movedHi, cp.LevelStart[1:])
 	} else {
 		inc.sweepUp(inc.wspanLo, inc.wspanHi, func(i int32) {
 			d := inc.c[i] * inc.m1[i]
@@ -713,13 +720,10 @@ func (inc *Incremental) flush3() {
 				}
 			}
 		}
+		// T_P: same reduction order as ComputePRH (tree pre-order over
+		// the current values); the full sweeps re-run it too.
+		inc.recomputeTP()
 	}
-	_ = m1Moved
-	_ = pathNodes
-
-	// T_P: same reduction order as ComputePRH (tree pre-order over the
-	// current values), re-run whenever anything moved.
-	inc.recomputeTP()
 
 	for _, f := range frontier {
 		inc.dirtyBits[f] &^= 16
@@ -747,67 +751,97 @@ func (inc *Incremental) recomputeTP() {
 }
 
 // fullSweeps runs the plain serial kernels over the whole tree into
-// the engine's arrays: the order-1 group (w1 up, m1 down, rkk down)
-// and/or the order-2/3 group (w2 up, m2 down, w3 up, m3 down, T_P).
-// These are the exact expressions of computeSerial/prhInto, so the
-// results are bit-identical to a fresh Compute/ComputePRH.
+// the engine's arrays: the order-1 group (w1 up, then one down pass for
+// rkk, m1 and trS) and/or the order-2/3 group (w2 up, m2 down, w3 up,
+// m3 down, T_P). These are the exact per-node expressions of
+// computeSerial/prhInto, so the results are bit-identical to a fresh
+// Compute/ComputePRH.
+//
+// Every sweep is a dependent recurrence, so on a chain its speed is
+// the latency of one step. When a node's neighbour in the sweep is its
+// parent (down) or its only child (up), that value is carried in a
+// register instead of reloaded from the slot just stored, which takes
+// a store-to-load round trip off each step. The operands and their
+// order are unchanged, and so are the bits.
 func (inc *Incremental) fullSweeps(stage1, stage3 bool) {
 	cp := inc.cp
 	n := inc.n
 	cs, par := cp.ChildStart, cp.Parent
+	r, c := inc.r, inc.c
 	if stage1 {
-		for i := n - 1; i >= 0; i-- {
-			d := inc.c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w1[ch]
-			}
-			inc.w1[i] = d
-		}
+		w1, m1, rkk, trS := inc.w1[:n], inc.m1[:n], inc.rkk[:n], inc.trS[:n]
+		fullUp(n, cs, c, nil, w1)
+		par, r := par[:n], r[:n]
+		var m, a, s float64 // m1, rkk and trS of node i-1
 		for i := 0; i < n; i++ {
-			v := -(inc.r[i] * inc.w1[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m1[p]
+			ri, d := r[i], w1[i]
+			v, ai := -(ri * d), ri
+			switch p := int(par[i]); {
+			case p == rctree.Source:
+				s = trStep(0, ri, ai, 0, d)
+			case p == i-1:
+				v += m
+				ai += a
+				s = trStep(s, ri, ai, a, d)
+			default:
+				v += m1[p]
+				ai += rkk[p]
+				s = trStep(trS[p], ri, ai, rkk[p], d)
 			}
-			inc.m1[i] = v
-		}
-		for i := 0; i < n; i++ {
-			a := inc.r[i]
-			if p := par[i]; p != rctree.Source {
-				a += inc.rkk[p]
-			}
-			inc.rkk[i] = a
+			m1[i], rkk[i], trS[i] = v, ai, s
+			m, a = v, ai
 		}
 	}
 	if stage3 {
-		for i := n - 1; i >= 0; i-- {
-			d := inc.c[i] * inc.m1[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w2[ch]
-			}
-			inc.w2[i] = d
-		}
-		for i := 0; i < n; i++ {
-			v := -(inc.r[i] * inc.w2[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m2[p]
-			}
-			inc.m2[i] = v
-		}
-		for i := n - 1; i >= 0; i-- {
-			d := inc.c[i] * inc.m2[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w3[ch]
-			}
-			inc.w3[i] = d
-		}
-		for i := 0; i < n; i++ {
-			v := -(inc.r[i] * inc.w3[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m3[p]
-			}
-			inc.m3[i] = v
-		}
+		fullUp(n, cs, c, inc.m1, inc.w2)
+		fullDown(n, par, r, inc.w2, inc.m2)
+		fullUp(n, cs, c, inc.m2, inc.w3)
+		fullDown(n, par, r, inc.w3, inc.m3)
 		inc.recomputeTP()
+	}
+}
+
+// fullUp is one full upward moment sweep, children first: w = c·prev
+// plus the children's w (w = c plus the children's w when prev is nil,
+// the m0 = 1 sweep).
+func fullUp(n int, cs []int32, c, prev, w []float64) {
+	cs, c, w = cs[:n+1], c[:n], w[:n]
+	var last float64 // w[i+1]
+	hi := int(cs[n])
+	for i := n - 1; i >= 0; i-- {
+		d := c[i]
+		if prev != nil {
+			d *= prev[i]
+		}
+		lo := int(cs[i])
+		if lo == i+1 && hi == i+2 {
+			d += last
+		} else {
+			for ch := lo; ch < hi; ch++ {
+				d += w[ch]
+			}
+		}
+		w[i] = d
+		last, hi = d, lo
+	}
+}
+
+// fullDown is one full downward moment sweep, parents first:
+// m = m(parent) - r·w.
+func fullDown(n int, par []int32, r, w, m []float64) {
+	par, r, w, m = par[:n], r[:n], w[:n], m[:n]
+	var last float64 // m[i-1]
+	for i := 0; i < n; i++ {
+		v := -(r[i] * w[i])
+		switch p := int(par[i]); {
+		case p == rctree.Source:
+		case p == i-1:
+			v += last
+		default:
+			v += m[p]
+		}
+		m[i] = v
+		last = v
 	}
 }
 

@@ -268,46 +268,36 @@ func (s *Set) DistMoment(q, i int) float64 {
 	return sign * factorial(q) * v
 }
 
+// Moments3 returns m1, m2 and m3 at node i in one call, for per-node
+// loops that need all three (core.Analyze derives mu2 and mu3 from
+// them once). It panics unless the set has order >= 3 and i is a valid
+// node index.
+func (s *Set) Moments3(i int) (m1, m2, m3 float64) {
+	if s.order < 3 {
+		panic(fmt.Sprintf("moments: Moments3 needs order >= 3, set has %d", s.order))
+	}
+	if i < 0 || i >= len(s.m[3]) {
+		panic(fmt.Sprintf("moments: node index %d out of range [0,%d)", i, len(s.m[3])))
+	}
+	return s.m[1][i], s.m[2][i], s.m[3][i]
+}
+
 // Mu2 returns the second central moment (variance) of the impulse
 // response at node i: mu2 = 2 m2 - m1^2. Requires order >= 2.
 func (s *Set) Mu2(i int) float64 {
-	m1 := s.M(1, i)
-	m2 := s.M(2, i)
-	return 2*m2 - m1*m1
+	return Mu2Of(s.M(1, i), s.M(2, i))
 }
 
 // Mu3 returns the third central moment of the impulse response at node
 // i: mu3 = -6 m3 + 6 m1 m2 - 2 m1^3. Requires order >= 3.
 func (s *Set) Mu3(i int) float64 {
-	m1 := s.M(1, i)
-	m2 := s.M(2, i)
-	m3 := s.M(3, i)
-	return -6*m3 + 6*m1*m2 - 2*m1*m1*m1
+	return Mu3Of(s.M(1, i), s.M(2, i), s.M(3, i))
 }
 
 // Sigma returns the standard deviation sqrt(mu2) of the impulse
-// response at node i. Lemma 2 guarantees mu2 >= 0 for RC trees; tiny
-// negative values from roundoff are clamped to zero, and the
-// zero-variance case (degenerate trees, e.g. no capacitance anywhere
-// on the node's branch) returns exactly +0, never -0. The clamp path
-// reports a health note (moments.sigma_degenerate) so degenerate
-// inputs are countable rather than silent.
+// response at node i, under the SigmaOf contract.
 func (s *Set) Sigma(i int) float64 {
-	mu2 := s.Mu2(i)
-	if mu2 <= 0 {
-		if health.Enabled() {
-			t := s.tree
-			health.Note(health.Event{
-				Check:  "moments.sigma_degenerate",
-				Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
-				Node:   t.Name(i),
-				Detail: "mu2 <= 0 clamped to sigma = +0",
-				Values: map[string]health.F{"mu2": health.F(mu2)},
-			})
-		}
-		return 0
-	}
-	return math.Sqrt(mu2)
+	return SigmaOf(s.tree, i, s.Mu2(i))
 }
 
 // Skewness returns the coefficient of skewness
@@ -319,7 +309,55 @@ func (s *Set) Skewness(i int) float64 {
 	if mu2 <= 0 {
 		return 0
 	}
-	return s.Mu3(i) / math.Pow(mu2, 1.5)
+	return Skew(mu2, s.Mu3(i))
+}
+
+// Mu2Of returns the impulse-response variance 2 m2 - m1^2 from the
+// transfer-function moments.
+func Mu2Of(m1, m2 float64) float64 { return 2*m2 - m1*m1 }
+
+// Mu3Of returns the third central moment -6 m3 + 6 m1 m2 - 2 m1^3 from
+// the transfer-function moments.
+func Mu3Of(m1, m2, m3 float64) float64 { return -6*m3 + 6*m1*m2 - 2*m1*m1*m1 }
+
+// SigmaOf returns sqrt(mu2) for node i of t. Lemma 2 guarantees
+// mu2 >= 0 for RC trees; tiny negative values from roundoff are
+// clamped to zero, and the zero-variance case (degenerate trees, e.g.
+// no capacitance anywhere on the node's branch) returns exactly +0,
+// never -0. The clamp path reports a health note
+// (moments.sigma_degenerate) so degenerate inputs are countable rather
+// than silent; t and i only label that note.
+func SigmaOf(t *rctree.Tree, i int, mu2 float64) float64 {
+	if mu2 > 0 {
+		return math.Sqrt(mu2)
+	}
+	sigmaDegenerate(t, i, mu2)
+	return 0
+}
+
+// sigmaDegenerate is SigmaOf's clamp path, kept out of line so the
+// common path inlines.
+func sigmaDegenerate(t *rctree.Tree, i int, mu2 float64) {
+	if health.Enabled() {
+		health.Note(health.Event{
+			Check:  "moments.sigma_degenerate",
+			Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
+			Node:   t.Name(i),
+			Detail: "mu2 <= 0 clamped to sigma = +0",
+			Values: map[string]health.F{"mu2": health.F(mu2)},
+		})
+	}
+}
+
+// Skew returns the skewness mu3 / mu2^(3/2), defined as zero when
+// mu2 <= 0. mu2^(3/2) is evaluated as mu2·sqrt(mu2). Every skewness
+// the repository reports (Set, Incremental, core.ForInput) goes
+// through here, so full and incremental results stay bit-identical.
+func Skew(mu2, mu3 float64) float64 {
+	if mu2 <= 0 {
+		return 0
+	}
+	return mu3 / (mu2 * math.Sqrt(mu2))
 }
 
 func factorial(n int) float64 {

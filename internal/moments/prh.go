@@ -11,30 +11,28 @@ import (
 //	T_D(i)  = sum_k R_ki C_k          (the Elmore delay)
 //	T_R(i)  = sum_k R_ki^2 C_k / R_ii
 //
-// All are computed exactly. T_P and T_D come from O(N) traversals;
-// T_R(i) costs O(depth(i)) per node after O(N) preprocessing, so
-// computing it for all nodes is O(N * depth) — effectively linear for
-// the bushy trees used in timing analysis.
+// All are computed exactly, and all in O(N): T_D and T_R(i) for every
+// node come out of one pre-order sweep (see prhInto), T_P out of one
+// reduction, so the accessors are array reads.
 type PRHTerms struct {
 	tree *rctree.Tree
 	TP   float64   // sum_k R_kk C_k
 	TD   []float64 // Elmore delays, indexed by node
 	rkk  []float64 // path resistance R_kk per node
-	down []float64 // downstream capacitance per node
+	tr   []float64 // T_R per node
 }
 
-// ComputePRH computes the PRH bound terms for a tree. The path-
-// resistance accumulation runs on the compiled plan like the other
-// O(N) traversals; the T_P reduction keeps the historical pre-order
-// summation order so results are reproducible across releases.
+// ComputePRH computes the PRH bound terms for a tree. The sweeps run on
+// the compiled plan like the other O(N) traversals; the T_P reduction
+// keeps the historical pre-order summation order so results are
+// reproducible across releases.
 //
-// Allocation shape: the three retained per-node arrays (TD, rkk, down)
+// Allocation shape: the three retained per-node arrays (TD, rkk, tr)
 // share one user-indexed backing, and the two compiled-order sweep
 // buffers share another that dies with this call — three allocations
-// total instead of the seven the per-array form cost. The kernels are
-// the same gather-form sweeps ElmoreDelays and Tree.DownstreamC run,
-// in the same order, so the results are bit-identical to computing
-// each term independently.
+// total. The Elmore and path-resistance kernels are the same
+// gather-form expressions ElmoreDelays and Tree.DownstreamC evaluate,
+// so those terms are bit-identical to computing each independently.
 func ComputePRH(t *rctree.Tree) *PRHTerms {
 	return ComputePRHWith(t, nil)
 }
@@ -42,7 +40,7 @@ func ComputePRH(t *rctree.Tree) *PRHTerms {
 // ComputePRHWith is ComputePRH drawing its two compiled-order sweep
 // buffers from the caller's arena instead of allocating them — the
 // per-worker fast path of the batch engine. The retained per-node
-// arrays (TD, rkk, down) always get their own backing, so the returned
+// arrays (TD, rkk, tr) always get their own backing, so the returned
 // PRHTerms may outlive the arena. A nil arena makes this identical to
 // ComputePRH, and results are bit-identical either way (the kernels
 // write every scratch slot before reading it).
@@ -54,114 +52,100 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 		tree: t,
 		TD:   user[0:n:n],
 		rkk:  user[n : 2*n : 2*n],
-		down: user[2*n : 3*n : 3*n],
+		tr:   user[2*n : 3*n : 3*n],
 	}
 	scratch := ar.scratch(2 * n)
-	prhInto(cp, p.TD, p.rkk, p.down, scratch[:n], scratch[n:], cp.ParallelOK())
+	prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:], cp.ParallelOK())
+	c, from := cp.C, cp.FromUser
 	for _, i := range t.PreOrder() {
-		p.TP += p.rkk[i] * t.C(i)
+		p.TP += p.rkk[i] * c[from[i]]
 	}
 	return p
 }
 
-// prhInto runs the three PRH sweeps on the compiled plan:
+// prhInto runs the PRH sweeps on the compiled plan:
 //
-//  1. upward: downC[i] = subtree capacitance (scattered to the
-//     user-indexed down array) — the Tree.DownstreamC kernel;
-//  2. downward: Elmore accumulation reusing downC in place as the
-//     accumulator (the elmoreInto kernel), scattered to td;
-//  3. downward: path resistance R_ii into rkkC, scattered to rkk.
+//  1. upward: downC[i] = subtree capacitance (the Tree.DownstreamC
+//     kernel);
+//  2. downward, one fused pass: per node, from its parent's values, the
+//     Elmore delay (the elmoreInto kernel, accumulated in place over
+//     downC) to td, the path resistance R_ii = R_pp + r_i to rkk, and
+//     S(i) = sum_k R_ki^2 C_k to tr;
+//  3. T_R(i) = S(i)/R_ii, in place over tr.
 //
-// Neither scratch needs to be zeroed: every slot is written before it
-// is read. Pass 2 destroys downC, which is safe because pass 1 already
-// scattered the downstream capacitances to the user array. The serial
+// The S recurrence: capacitors below i see R_ki = R_ii where they saw
+// R_pp from p, everything else sees the same shared resistance from
+// both, so S(i) = S(p) + (R_ii^2 - R_pp^2)·Cdown(i), with S = R = 0
+// above a root. The difference of squares is evaluated as
+// r_i·(R_ii + R_pp), which never cancels. trStep is that expression,
+// shared with the incremental engine's order-1 sweeps so both engines
+// produce the same bits. S lives in the retained tr array until pass 3,
+// so the sweep needs no third scratch buffer.
+//
+// Pass 2 reads downC[i] before overwriting it with the Elmore
+// accumulator, and a node's parent is always finished before the node
+// itself, so the in-place reuse is safe in both schedules. No scratch
+// needs zeroing: every slot is written before it is read. The serial
 // path runs plain loops so small nets pay no closure allocations; the
 // parallel kernels are gather-form, hence bit-identical to serial.
-func prhInto(cp *rctree.Compiled, td, rkk, down, downC, rkkC []float64, parallel bool) {
-	n := cp.N()
-	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
-	acc := downC // pass 2 overwrites downC[i] only after it is consumed
+func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC []float64, parallel bool) {
 	if !parallel {
-		for i := n - 1; i >= 0; i-- {
-			d := c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += downC[ch]
-			}
-			downC[i] = d
-			down[toUser[i]] = d
-		}
-		for i := 0; i < n; i++ {
-			a := r[i] * downC[i]
-			if p := par[i]; p != rctree.Source {
-				a += acc[p]
-			}
-			acc[i] = a
-			td[toUser[i]] = a
-		}
-		for i := 0; i < n; i++ {
-			a := r[i]
-			if p := par[i]; p != rctree.Source {
-				a += rkkC[p]
-			}
-			rkkC[i] = a
-			rkk[toUser[i]] = a
-		}
-		return
+		prhUp(cp, downC, 0, cp.N())
+		prhDown(cp, td, rkk, tr, downC, rkkC, 0, cp.N())
+	} else {
+		cp.EachLevelUp(true, func(lo, hi int) { prhUp(cp, downC, lo, hi) })
+		cp.EachLevelDown(true, func(lo, hi int) { prhDown(cp, td, rkk, tr, downC, rkkC, lo, hi) })
 	}
-	cp.EachLevelUp(true, func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			d := c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += downC[ch]
-			}
-			downC[i] = d
-			down[toUser[i]] = d
+	for u, a := range rkk {
+		tr[u] /= a
+	}
+}
+
+// prhUp is pass 1 of prhInto over compiled indices [lo, hi).
+func prhUp(cp *rctree.Compiled, downC []float64, lo, hi int) {
+	c, cs := cp.C, cp.ChildStart
+	for i := hi - 1; i >= lo; i-- {
+		d := c[i]
+		for ch := cs[i]; ch < cs[i+1]; ch++ {
+			d += downC[ch]
 		}
-	})
-	cp.EachLevelDown(true, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := r[i] * downC[i]
-			if p := par[i]; p != rctree.Source {
-				a += acc[p]
-			}
-			acc[i] = a
-			td[toUser[i]] = a
+		downC[i] = d
+	}
+}
+
+// prhDown is pass 2 of prhInto over compiled indices [lo, hi); it
+// leaves S(i), not yet T_R, in tr.
+func prhDown(cp *rctree.Compiled, td, rkk, tr, downC, rkkC []float64, lo, hi int) {
+	r, par, toUser := cp.R, cp.Parent, cp.ToUser
+	for i := lo; i < hi; i++ {
+		d := downC[i]
+		e, a := r[i]*d, r[i]
+		var s float64
+		if p := par[i]; p != rctree.Source {
+			e += downC[p]
+			a += rkkC[p]
+			s = trStep(tr[toUser[p]], r[i], a, rkkC[p], d)
+		} else {
+			s = trStep(0, r[i], a, 0, d)
 		}
-	})
-	cp.EachLevelDown(true, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := r[i]
-			if p := par[i]; p != rctree.Source {
-				a += rkkC[p]
-			}
-			rkkC[i] = a
-			rkk[toUser[i]] = a
-		}
-	})
+		downC[i], rkkC[i] = e, a
+		u := toUser[i]
+		td[u], rkk[u], tr[u] = e, a, s
+	}
+}
+
+// trStep advances the T_R numerator S = sum_k R_ki^2 C_k from a parent
+// (S = sp, path resistance rp) to its child (series resistance ri,
+// path resistance a = rp + ri, downstream capacitance d).
+func trStep(sp, ri, a, rp, d float64) float64 {
+	return sp + ri*(a+rp)*d
 }
 
 // PathResistance returns R_ii for node i (cached).
 func (p *PRHTerms) PathResistance(i int) float64 { return p.rkk[i] }
 
-// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii.
-//
-// For each node j on the source-to-i path, every capacitor k whose
-// deepest common ancestor with i is j contributes R_ki = R_jj. Those
-// capacitors are exactly subtree(j) minus subtree(next path node), plus
-// — for j the path's root — everything outside the root's subtree
-// contributes zero (their shared path resistance with i is zero, since
-// sibling root subtrees share no resistors).
-func (p *PRHTerms) TR(i int) float64 {
-	t := p.tree
-	var sum float64
-	prevDown := 0.0 // downstream cap of the previous (deeper) path node
-	for j := i; j != rctree.Source; j = t.Parent(j) {
-		attachedC := p.down[j] - prevDown
-		sum += p.rkk[j] * p.rkk[j] * attachedC
-		prevDown = p.down[j]
-	}
-	return sum / p.rkk[i]
-}
+// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii (cached).
+func (p *PRHTerms) TR(i int) float64 { return p.tr[i] }
 
 // TRDirect computes T_R(i) by the O(N) definition as an independent
 // oracle for tests.

@@ -254,7 +254,32 @@ func (p Poly) aberth() ([]complex128, error) {
 			return polish(roots), nil
 		}
 	}
+	if atRoundoff(monic, roots) {
+		// Clustered roots can stall the step-size test above while
+		// every residual is already at the rounding level of evaluating
+		// p: the estimates are as good as double precision allows.
+		return polish(roots), nil
+	}
 	return nil, fmt.Errorf("poly: Aberth iteration did not converge for degree %d", n)
+}
+
+// atRoundoff reports whether every estimate z has a residual within the
+// rounding error of evaluating p at z by Horner's rule:
+// |p(z)| <= 8·n·eps·Σ|a_i||z|^i.
+func atRoundoff(p Poly, roots []complex128) bool {
+	const eps = 0x1p-52
+	n := p.Degree()
+	for _, z := range roots {
+		az := cmplx.Abs(z)
+		var scale float64
+		for i := n; i >= 0; i-- {
+			scale = scale*az + math.Abs(p.Coeffs[i])
+		}
+		if cmplx.Abs(p.EvalC(z)) > 8*float64(n)*eps*scale {
+			return false
+		}
+	}
+	return true
 }
 
 // polish snaps nearly-real roots onto the real axis; RC characteristic

@@ -213,3 +213,24 @@ func TestRootsRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Clustered roots (adjacent ratios of 10^(1/20)) stall Aberth's
+// step-size test at the rounding level; the iteration must still return
+// them, as accurately as the round-trip property demands.
+func TestRootsClusteredConverge(t *testing.T) {
+	for _, ks := range [][]int{{2, 4, 5, 6, 7}, {20, 22, 23, 24, 26}, {15, 16, 17, 18, 19}} {
+		roots := make([]float64, len(ks))
+		for i, k := range ks {
+			roots[len(ks)-1-i] = -math.Pow(10, float64(k)/20.0)
+		}
+		got, err := FromRoots(roots...).RealRoots()
+		if err != nil {
+			t.Fatalf("roots %v: %v", roots, err)
+		}
+		for i := range roots {
+			if math.Abs(got[i]-roots[i]) > 1e-5*math.Abs(roots[i]) {
+				t.Fatalf("roots %v: got %v", roots, got)
+			}
+		}
+	}
+}

@@ -13,10 +13,11 @@ package telemetry
 // record is framed by seqlock-style begin/commit markers. A writer
 // claims a slot with one atomic increment on its shard, stores the
 // begin marker, the data words, then the commit marker. A dumper reads
-// begin, data, commit; a mismatch means the record was torn by a
-// concurrent overwrite and it is skipped (and counted) rather than
-// misreported. This keeps append lock-free and dump race-free without
-// any mutual exclusion between them.
+// in the opposite order — commit, data, begin — so any append that
+// began after the record it read was committed shows up as a mismatch;
+// the record was torn by that concurrent overwrite and it is skipped
+// (and counted) rather than misreported. This keeps append lock-free
+// and dump race-free without any mutual exclusion between them.
 
 import (
 	"encoding/json"
@@ -142,11 +143,13 @@ func (s *flightShard) append(ev *FlightEvent) {
 }
 
 // load snapshots the slot; ok is false when the slot is empty or was
-// torn by a concurrent append.
+// torn by a concurrent append. The markers are read in the reverse of
+// the order append stores them: the data words are consistent only if
+// no append began after the commit this read started from.
 func (sl *flightSlot) load() (ev FlightEvent, seq uint64, ok bool) {
-	seq = sl.begin.Load()
+	seq = sl.commit.Load()
 	if seq == 0 {
-		return ev, 0, false
+		return ev, 0, false // empty, or its first append is in flight
 	}
 	ev.When = sl.when.Load()
 	meta := sl.meta.Load()
@@ -172,7 +175,7 @@ func (sl *flightSlot) load() (ev FlightEvent, seq uint64, ok bool) {
 		n = len(buf)
 	}
 	ev.Label = string(buf[:n])
-	if sl.commit.Load() != seq {
+	if sl.begin.Load() != seq {
 		return ev, 0, false // torn by a concurrent overwrite
 	}
 	return ev, seq, true
