@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"elmore/internal/health"
 	"elmore/internal/moments"
 	"elmore/internal/telemetry"
 )
@@ -115,8 +116,12 @@ const workerJobAllocBudget = 8
 // by marginal cost: the difference between a 40-job and an 8-job run
 // divided out per job, which cancels the engine's fixed setup
 // (channels, goroutines, stats). Before the arena the scratch alone
-// added two allocations per job on top of this budget.
+// added two allocations per job on top of this budget. The budget is
+// for the disabled observability path, so the test runs with no health
+// monitor installed even when the environment installs one.
 func TestWorkerLoopAllocBudget(t *testing.T) {
+	prev := health.SetDefault(nil)
+	defer health.SetDefault(prev)
 	tree := chainNet(t, 300)
 	e := &Engine{Workers: 1, Cache: NewCache()}
 	mk := func(k int) []Job {

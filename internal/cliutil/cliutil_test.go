@@ -193,11 +193,12 @@ func TestTraceErrorSurfacesOnClose(t *testing.T) {
 func TestHealthLogLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "health.ndjson")
 	cf := parse(t, "-health-log", path)
+	before := health.Default() // nil unless the environment installs one
 	sess, err := cf.Start(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if health.Default() == nil {
+	if health.Default() == nil || health.Default() == before {
 		t.Fatal("-health-log must install a monitor")
 	}
 	if health.Default().Strict() {
@@ -210,8 +211,8 @@ func TestHealthLogLifecycle(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatalf("non-strict Close: %v", err)
 	}
-	if health.Default() != nil {
-		t.Error("Close must restore the previous (nil) default monitor")
+	if health.Default() != before {
+		t.Error("Close must restore the monitor installed before Start")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -9,12 +9,11 @@ import (
 	"elmore/internal/topo"
 )
 
-// analyzeAllocBudget is the serial-path allocation count for a full
-// Analyze: 2 here (Analysis, Bounds slice) + 4 in moments.Compute +
-// 3 in moments.ComputePRH. The regression this pins: PR 3's compiled
-// layout crept from 15 to 19 allocs/op because the sweep buffers were
-// captured by parallel-path closures (heap-boxing them even on the
-// serial path) and ComputePRH allocated its seven arrays one by one.
+// analyzeAllocBudget is the allocation count for a full Analyze: 2 here
+// (Analysis, Bounds slice) + 4 in moments.Compute + 3 in
+// moments.ComputePRH. The kernels are plain loops over caller-provided
+// sweep buffers; a closure capturing those buffers, or per-array
+// allocation in ComputePRH, shows up here as a budget overrun.
 const analyzeAllocBudget = 9
 
 func TestAnalyzeAllocBudget(t *testing.T) {

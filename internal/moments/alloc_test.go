@@ -7,8 +7,8 @@ import (
 	"elmore/internal/topo"
 )
 
-// Allocation budgets for the serial (small-net) path. These are exact
-// counts, not estimates — a new make, a closure capture of a reassigned
+// Allocation budgets for the moment kernels. These are exact counts,
+// not estimates — a new make, a closure capture of a reassigned
 // variable, or an interface conversion on the hot path shows up here as
 // a +1 before it shows up as a benchmark regression.
 //
@@ -22,36 +22,61 @@ const (
 	elmoreAllocBudget  = 2
 )
 
-func TestComputeAllocBudget(t *testing.T) {
-	tree := topo.Random(11, topo.RandomOptions{N: 300})
-	if _, err := Compute(tree, 3); err != nil { // warm the compiled-plan cache
-		t.Fatal(err)
+// allocTrees are the inputs every budget must hold on: a 300-node net
+// and a wide tree of the class the benchmark's deep-nets corpus
+// carries. The kernels are one serial sweep each, so the counts do not
+// depend on size or shape.
+func allocTrees(t *testing.T) map[string]*rctree.Tree {
+	return map[string]*rctree.Tree{
+		"random300": topo.Random(11, topo.RandomOptions{N: 300}),
+		"wide":      wideTree(t),
 	}
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := Compute(tree, 3); err != nil {
+}
+
+// wideTree is a random tree of rctree.MinParallelNodes+1000 nodes with
+// an average level width of at least rctree.MinParallelWidth.
+func wideTree(t *testing.T) *rctree.Tree {
+	t.Helper()
+	tree := topo.Random(21, topo.RandomOptions{N: rctree.MinParallelNodes + 1000, Chaininess: 0.05})
+	if w := tree.N() / rctree.Compile(tree).Levels(); w < rctree.MinParallelWidth {
+		t.Fatalf("wide test tree has only %d nodes per level", w)
+	}
+	return tree
+}
+
+func TestComputeAllocBudget(t *testing.T) {
+	for name, tree := range allocTrees(t) {
+		if _, err := Compute(tree, 3); err != nil { // warm the compiled-plan cache
 			t.Fatal(err)
 		}
-	})
-	if got > computeAllocBudget {
-		t.Errorf("Compute(order=3) = %.1f allocs/op, budget %d", got, computeAllocBudget)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := Compute(tree, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > computeAllocBudget {
+			t.Errorf("%s: Compute(order=3) = %.1f allocs/op, budget %d", name, got, computeAllocBudget)
+		}
 	}
 }
 
 func TestComputePRHAllocBudget(t *testing.T) {
-	tree := topo.Random(11, topo.RandomOptions{N: 300})
-	ComputePRH(tree)
-	got := testing.AllocsPerRun(200, func() { ComputePRH(tree) })
-	if got > prhAllocBudget {
-		t.Errorf("ComputePRH = %.1f allocs/op, budget %d", got, prhAllocBudget)
+	for name, tree := range allocTrees(t) {
+		ComputePRH(tree)
+		got := testing.AllocsPerRun(200, func() { ComputePRH(tree) })
+		if got > prhAllocBudget {
+			t.Errorf("%s: ComputePRH = %.1f allocs/op, budget %d", name, got, prhAllocBudget)
+		}
 	}
 }
 
 func TestElmoreDelaysAllocBudget(t *testing.T) {
-	tree := topo.Random(11, topo.RandomOptions{N: 300})
-	ElmoreDelays(tree)
-	got := testing.AllocsPerRun(200, func() { ElmoreDelays(tree) })
-	if got > elmoreAllocBudget {
-		t.Errorf("ElmoreDelays = %.1f allocs/op, budget %d", got, elmoreAllocBudget)
+	for name, tree := range allocTrees(t) {
+		ElmoreDelays(tree)
+		got := testing.AllocsPerRun(200, func() { ElmoreDelays(tree) })
+		if got > elmoreAllocBudget {
+			t.Errorf("%s: ElmoreDelays = %.1f allocs/op, budget %d", name, got, elmoreAllocBudget)
+		}
 	}
 }
 

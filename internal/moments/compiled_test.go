@@ -8,10 +8,11 @@ import (
 	"elmore/internal/topo"
 )
 
-// The level-parallel schedule must reproduce the serial sweep
-// bit-for-bit: tree elimination order is deterministic and the kernels
-// are gather-form, so there is no legitimate source of divergence.
-func TestComputeParallelBitIdentical(t *testing.T) {
+// The compiled recurrences — Compute's order-5 sweeps and the
+// ElmoreDelays kernel — must agree with the O(N^2) definitional oracle
+// on the paper's reference trees and on random, star and balanced
+// shapes.
+func TestComputeMatchesDirectOracle(t *testing.T) {
 	trees := map[string]*rctree.Tree{
 		"fig1":     topo.Fig1Tree(),
 		"line25":   topo.Line25Tree(),
@@ -21,33 +22,16 @@ func TestComputeParallelBitIdentical(t *testing.T) {
 	}
 	for name, tree := range trees {
 		t.Run(name, func(t *testing.T) {
-			cp := rctree.Compile(tree)
-			const order = 5
-			mk := func(parallel bool) *Set {
-				s := &Set{tree: tree, order: order, m: make([][]float64, order+1)}
-				for q := range s.m {
-					s.m[q] = make([]float64, tree.N())
-				}
-				computeCompiled(cp, s, parallel)
-				return s
+			s, err := Compute(tree, 5)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial, par := mk(false), mk(true)
-			for q := 1; q <= order; q++ {
-				for i := 0; i < tree.N(); i++ {
-					if serial.m[q][i] != par.m[q][i] {
-						t.Fatalf("m[%d][%d]: serial %v != parallel %v",
-							q, i, serial.m[q][i], par.m[q][i])
-					}
-				}
-			}
-			// ElmoreDelays kernel too.
-			tdS := make([]float64, tree.N())
-			tdP := make([]float64, tree.N())
-			elmoreCompiled(cp, tdS, false)
-			elmoreCompiled(cp, tdP, true)
-			for i := range tdS {
-				if tdS[i] != tdP[i] {
-					t.Fatalf("td[%d]: serial %v != parallel %v", i, tdS[i], tdP[i])
+			td := ElmoreDelays(tree)
+			for i := 0; i < tree.N(); i++ {
+				want := ElmoreDelayDirect(tree, i)
+				if !approx(s.Elmore(i), want, 1e-12) || !approx(td[i], want, 1e-12) {
+					t.Fatalf("node %d: Compute Elmore %v, ElmoreDelays %v, direct %v",
+						i, s.Elmore(i), td[i], want)
 				}
 			}
 		})

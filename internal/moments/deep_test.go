@@ -8,9 +8,8 @@ import (
 )
 
 // The compiled moment kernels must handle the degenerate extremes — a
-// million-level chain and a hundred-thousand-wide star — and the
-// forced level-parallel schedule must reproduce the serial sweep
-// bit-for-bit on both.
+// million-level chain and a hundred-thousand-wide star — and agree with
+// the closed-form Elmore delays on both.
 func TestComputeDegenerateExtremes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep-topology stress test")
@@ -24,31 +23,14 @@ func TestComputeDegenerateExtremes(t *testing.T) {
 		{"star100k", topo.Star(100_000, 1, 50, 2e-14), 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp := rctree.Compile(tc.tree)
-			mk := func(parallel bool) *Set {
-				s := &Set{tree: tc.tree, order: tc.order, m: make([][]float64, tc.order+1)}
-				for q := range s.m {
-					s.m[q] = make([]float64, tc.tree.N())
-				}
-				computeCompiled(cp, s, parallel)
-				return s
+			s, err := Compute(tc.tree, tc.order)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial, par := mk(false), mk(true)
-			for q := 1; q <= tc.order; q++ {
-				for i := 0; i < tc.tree.N(); i++ {
-					if serial.m[q][i] != par.m[q][i] {
-						t.Fatalf("m[%d][%d]: serial %v != parallel %v",
-							q, i, serial.m[q][i], par.m[q][i])
-					}
-				}
-			}
-			tdS := make([]float64, tc.tree.N())
-			tdP := make([]float64, tc.tree.N())
-			elmoreCompiled(cp, tdS, false)
-			elmoreCompiled(cp, tdP, true)
-			for i := range tdS {
-				if tdS[i] != tdP[i] {
-					t.Fatalf("td[%d]: serial %v != parallel %v", i, tdS[i], tdP[i])
+			td := ElmoreDelays(tc.tree)
+			for i := range td {
+				if !approx(s.Elmore(i), td[i], 1e-12) {
+					t.Fatalf("node %d: Compute Elmore %v, ElmoreDelays %v", i, s.Elmore(i), td[i])
 				}
 			}
 			// Anchor the Elmore delays against closed forms (the O(N^2)
@@ -59,7 +41,7 @@ func TestComputeDegenerateExtremes(t *testing.T) {
 			n := tc.tree.N()
 			anchor := func(i int, want float64) {
 				t.Helper()
-				got := tdS[i]
+				got := td[i]
 				if diff := got - want; diff > 1e-9*want || diff < -1e-9*want {
 					t.Fatalf("node %d: Elmore %v, want %v", i, got, want)
 				}
@@ -73,6 +55,13 @@ func TestComputeDegenerateExtremes(t *testing.T) {
 				ctotal := float64(n) * 2e-14
 				anchor(0, 50*ctotal)            // hub
 				anchor(n-1, 50*ctotal+50*2e-14) // any leaf
+				// The star is shallow, so the definitional oracle is
+				// cheap on a few nodes.
+				for _, i := range []int{0, 1, n / 2, n - 1} {
+					if want := ElmoreDelayDirect(tc.tree, i); !approx(td[i], want, 1e-12) {
+						t.Fatalf("node %d: Elmore %v, direct %v", i, td[i], want)
+					}
+				}
 			}
 		})
 	}

@@ -39,11 +39,10 @@ type Set struct {
 //
 // The recurrences run on the tree's compiled structure-of-arrays plan
 // (rctree.Compile): contiguous value arrays in breadth-first order,
-// with no permutation indirection in either traversal direction. On
-// large trees with wide levels the per-order passes execute in
-// parallel across depth levels; the kernels are written in gather form
-// (each node reads only its children or its parent), so the parallel
-// schedule is bit-identical to the serial sweep.
+// with no permutation indirection in either traversal direction. Each
+// order is one serial upward and one serial downward sweep; nets are
+// analysed in parallel by running many of them at once, not by
+// splitting one.
 func Compute(t *rctree.Tree, order int) (*Set, error) {
 	return ComputeWith(t, order, nil)
 }
@@ -80,7 +79,7 @@ func ComputeWith(t *rctree.Tree, order int, ar *Arena) (*Set, error) {
 	}
 	cp := rctree.Compile(t)
 	scratch := ar.scratch(2 * n)
-	computeInto(cp, s, scratch[:n], scratch[n:], cp.ParallelOK())
+	computeInto(cp, s, scratch[:n], scratch[n:])
 	if faultinject.Enabled() && n > 0 {
 		// Poisoning the deepest node's m_1 is enough for chaos runs: it
 		// is the Elmore delay every downstream bound reads, and the
@@ -131,14 +130,6 @@ func (s *Set) checkFinite() error {
 	})
 }
 
-// computeCompiled fills s.m[1..order] (user-indexed) from the compiled
-// plan, allocating its own sweep buffers. Split out so tests can force
-// both the serial and the parallel schedule and compare bit-for-bit.
-func computeCompiled(cp *rctree.Compiled, s *Set, parallel bool) {
-	n := cp.N()
-	computeInto(cp, s, make([]float64, n), make([]float64, n), parallel)
-}
-
 // computeInto fills s.m[1..order] (user-indexed) from the compiled
 // plan using caller-provided sweep buffers of length cp.N(). Neither
 // buffer needs to be zeroed: prev is initialized here and every work
@@ -152,29 +143,14 @@ func computeCompiled(cp *rctree.Compiled, s *Set, parallel bool) {
 // weights" w_k = C_k m_{q-1}(k)) and one downward pass that accumulates
 // m_q(i) = m_q(parent) - R(i) * subtreeSum(i) along each path.
 //
-// The serial and parallel schedules live in separate functions on
-// purpose: the parallel closures capture and swap prev/work, which
-// would force both slice headers onto the heap for every caller —
-// including small nets that never go parallel — if the closures were
-// merely unreachable in the same function body.
-func computeInto(cp *rctree.Compiled, s *Set, prev, work []float64, parallel bool) {
+// Two swap buffers: prev holds m_{q-1}; work accumulates the downstream
+// sums and is then rewritten in place with m_q (slot i is read before
+// it is written, and a parent's slot is final before any child reads
+// it), becoming the next prev.
+func computeInto(cp *rctree.Compiled, s *Set, prev, work []float64) {
 	for i := range prev {
 		prev[i] = 1
 	}
-	if !parallel {
-		computeSerial(cp, s, prev, work)
-		return
-	}
-	computeParallel(cp, s, prev, work)
-}
-
-// computeSerial runs the moment sweeps as plain loops with no closures,
-// so small nets pay zero allocations beyond the buffers they were
-// handed. Two swap buffers: prev holds m_{q-1}; work accumulates the
-// downstream sums and is then rewritten in place with m_q (slot i is
-// read before it is written, and a parent's slot is final before any
-// child reads it), becoming the next prev.
-func computeSerial(cp *rctree.Compiled, s *Set, prev, work []float64) {
 	n := cp.N()
 	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
 	for q := 1; q <= s.order; q++ {
@@ -192,41 +168,6 @@ func computeSerial(cp *rctree.Compiled, s *Set, prev, work []float64) {
 			}
 			work[i] = m
 		}
-		mq := s.m[q]
-		for i := 0; i < n; i++ {
-			mq[toUser[i]] = work[i]
-		}
-		prev, work = work, prev
-	}
-}
-
-// computeParallel is the level-scheduled mirror of computeSerial. The
-// kernels are gather-form (each node reads only its children or its
-// parent), so the schedule is bit-identical to the serial sweep.
-func computeParallel(cp *rctree.Compiled, s *Set, prev, work []float64) {
-	n := cp.N()
-	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
-	up := func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			d := c[i] * prev[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += work[ch]
-			}
-			work[i] = d
-		}
-	}
-	dn := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m := -(r[i] * work[i])
-			if p := par[i]; p != rctree.Source {
-				m += work[p]
-			}
-			work[i] = m
-		}
-	}
-	for q := 1; q <= s.order; q++ {
-		cp.EachLevelUp(true, up)
-		cp.EachLevelDown(true, dn)
 		mq := s.m[q]
 		for i := 0; i < n; i++ {
 			mq[toUser[i]] = work[i]
@@ -371,22 +312,15 @@ func factorial(n int) float64 {
 // ElmoreDelays computes the Elmore delay at every node with the classic
 // two-traversal algorithm (downstream capacitances up, delay
 // accumulation down), without allocating a full moment Set. Both
-// traversals run on the compiled structure-of-arrays plan, level-
-// parallel on large bushy trees.
+// traversals are serial sweeps over the compiled structure-of-arrays
+// plan.
 func ElmoreDelays(t *rctree.Tree) []float64 {
 	cp := rctree.Compile(t)
 	// td is returned and may be long-lived, so it gets its own backing
 	// rather than a slice of a shared buffer that would pin the scratch.
 	td := make([]float64, cp.N())
-	elmoreInto(cp, td, make([]float64, cp.N()), cp.ParallelOK())
+	elmoreInto(cp, td, make([]float64, cp.N()))
 	return td
-}
-
-// elmoreCompiled fills td (user-indexed) with Elmore delays, allocating
-// its own scratch. Kept as the seam tests use to force serial vs
-// parallel schedules.
-func elmoreCompiled(cp *rctree.Compiled, td []float64, parallel bool) {
-	elmoreInto(cp, td, make([]float64, cp.N()), parallel)
 }
 
 // elmoreInto fills td (user-indexed) with Elmore delays using a
@@ -394,52 +328,26 @@ func elmoreCompiled(cp *rctree.Compiled, td []float64, parallel bool) {
 // need not be zeroed: every slot is written by the upward pass before
 // it is read. The downward pass accumulates into the down buffer in
 // place: down[i] is read before slot i is overwritten, and a parent's
-// slot is fully rewritten (level barrier) before any child reads it.
-// The serial path runs plain loops so small nets pay no closure
-// allocations.
-func elmoreInto(cp *rctree.Compiled, td, down []float64, parallel bool) {
+// slot is rewritten before any child reads it.
+func elmoreInto(cp *rctree.Compiled, td, down []float64) {
 	n := cp.N()
 	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
 	acc := down // acc[i] overwrites down[i] only after it is consumed
-	if !parallel {
-		// Plain loops: the closure forms below escape to the heap, and
-		// small nets should not pay those allocations.
-		for i := n - 1; i >= 0; i-- {
-			d := c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += down[ch]
-			}
-			down[i] = d
+	for i := n - 1; i >= 0; i-- {
+		d := c[i]
+		for ch := cs[i]; ch < cs[i+1]; ch++ {
+			d += down[ch]
 		}
-		for i := 0; i < n; i++ {
-			a := r[i] * down[i]
-			if p := par[i]; p != rctree.Source {
-				a += acc[p]
-			}
-			acc[i] = a
-			td[toUser[i]] = a
-		}
-		return
+		down[i] = d
 	}
-	cp.EachLevelUp(true, func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			d := c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += down[ch]
-			}
-			down[i] = d
+	for i := 0; i < n; i++ {
+		a := r[i] * down[i]
+		if p := par[i]; p != rctree.Source {
+			a += acc[p]
 		}
-	})
-	cp.EachLevelDown(true, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := r[i] * down[i]
-			if p := par[i]; p != rctree.Source {
-				a += acc[p]
-			}
-			acc[i] = a
-			td[toUser[i]] = a
-		}
-	})
+		acc[i] = a
+		td[toUser[i]] = a
+	}
 }
 
 // ElmoreDelayDirect computes T_D(i) = sum_k R_ki C_k by the O(N^2)

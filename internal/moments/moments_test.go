@@ -235,7 +235,8 @@ func TestMomentsMonotoneDownstream(t *testing.T) {
 
 func TestSigmaZeroClamp(t *testing.T) {
 	// Sigma clamps tiny negative mu2 (roundoff) to zero rather than NaN.
-	s := &Set{order: 2, m: [][]float64{{1}, {0}, {-1e-40}}}
+	// The one-node tree gives the health note a node to name.
+	s := &Set{tree: singleRC(t, 1, 1e-12), order: 2, m: [][]float64{{1}, {0}, {-1e-40}}}
 	if got := s.Sigma(0); got != 0 {
 		t.Errorf("Sigma = %v, want 0", got)
 	}

@@ -55,7 +55,7 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 		tr:   user[2*n : 3*n : 3*n],
 	}
 	scratch := ar.scratch(2 * n)
-	prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:], cp.ParallelOK())
+	prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:])
 	c, from := cp.C, cp.FromUser
 	for _, i := range t.PreOrder() {
 		p.TP += p.rkk[i] * c[from[i]]
@@ -84,40 +84,19 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 //
 // Pass 2 reads downC[i] before overwriting it with the Elmore
 // accumulator, and a node's parent is always finished before the node
-// itself, so the in-place reuse is safe in both schedules. No scratch
-// needs zeroing: every slot is written before it is read. The serial
-// path runs plain loops so small nets pay no closure allocations; the
-// parallel kernels are gather-form, hence bit-identical to serial.
-func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC []float64, parallel bool) {
-	if !parallel {
-		prhUp(cp, downC, 0, cp.N())
-		prhDown(cp, td, rkk, tr, downC, rkkC, 0, cp.N())
-	} else {
-		cp.EachLevelUp(true, func(lo, hi int) { prhUp(cp, downC, lo, hi) })
-		cp.EachLevelDown(true, func(lo, hi int) { prhDown(cp, td, rkk, tr, downC, rkkC, lo, hi) })
-	}
-	for u, a := range rkk {
-		tr[u] /= a
-	}
-}
-
-// prhUp is pass 1 of prhInto over compiled indices [lo, hi).
-func prhUp(cp *rctree.Compiled, downC []float64, lo, hi int) {
-	c, cs := cp.C, cp.ChildStart
-	for i := hi - 1; i >= lo; i-- {
+// itself, so the in-place reuse is safe. No scratch needs zeroing:
+// every slot is written before it is read.
+func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC []float64) {
+	n := cp.N()
+	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
+	for i := n - 1; i >= 0; i-- {
 		d := c[i]
 		for ch := cs[i]; ch < cs[i+1]; ch++ {
 			d += downC[ch]
 		}
 		downC[i] = d
 	}
-}
-
-// prhDown is pass 2 of prhInto over compiled indices [lo, hi); it
-// leaves S(i), not yet T_R, in tr.
-func prhDown(cp *rctree.Compiled, td, rkk, tr, downC, rkkC []float64, lo, hi int) {
-	r, par, toUser := cp.R, cp.Parent, cp.ToUser
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		d := downC[i]
 		e, a := r[i]*d, r[i]
 		var s float64
@@ -131,6 +110,9 @@ func prhDown(cp *rctree.Compiled, td, rkk, tr, downC, rkkC []float64, lo, hi int
 		downC[i], rkkC[i] = e, a
 		u := toUser[i]
 		td[u], rkk[u], tr[u] = e, a, s
+	}
+	for u, a := range rkk {
+		tr[u] /= a
 	}
 }
 

@@ -117,32 +117,17 @@ func TestTRMatchesDirectZeroDownstreamC(t *testing.T) {
 	}
 }
 
-// TestTRWideTreeParallelBitIdentical runs a tree above
-// rctree.MinParallelNodes, wide enough for the level-parallel schedule,
-// through both branches of prhInto: every output must match bit for
-// bit, and a sample of nodes must match TRDirect.
-func TestTRWideTreeParallelBitIdentical(t *testing.T) {
-	tree := topo.Random(21, topo.RandomOptions{N: rctree.MinParallelNodes + 1000, Chaininess: 0.05})
-	cp := rctree.Compile(tree)
+// TestTRWideTreeMatchesDirect runs a wide tree (see wideTree) through
+// ComputePRHWith on a dirty arena: the fused Elmore term must match
+// ElmoreDelays bit for bit, and a sample of nodes must match TRDirect.
+func TestTRWideTreeMatchesDirect(t *testing.T) {
+	tree := wideTree(t)
 	n := tree.N()
-	if w := n / cp.Levels(); w < rctree.MinParallelWidth {
-		t.Fatalf("test tree too narrow for the parallel schedule: %d nodes per level", w)
-	}
-	run := func(parallel bool) [3][]float64 {
-		var out [3][]float64
-		for k := range out {
-			out[k] = make([]float64, n)
-		}
-		scratch := dirtyArena(2 * n).scratch(2 * n)
-		prhInto(cp, out[0], out[1], out[2], scratch[:n], scratch[n:], parallel)
-		return out
-	}
-	serial, par := run(false), run(true)
-	for k, name := range []string{"TD", "rkk", "tr"} {
-		for i := 0; i < n; i++ {
-			if serial[k][i] != par[k][i] {
-				t.Fatalf("%s[%d]: serial %v != parallel %v", name, i, serial[k][i], par[k][i])
-			}
+	p := ComputePRHWith(tree, dirtyArena(2*n))
+	td := ElmoreDelays(tree)
+	for i := 0; i < n; i++ {
+		if p.TD[i] != td[i] {
+			t.Fatalf("node %d: fused TD %v != ElmoreDelays %v", i, p.TD[i], td[i])
 		}
 	}
 	var sample []int

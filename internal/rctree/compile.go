@@ -1,10 +1,5 @@
 package rctree
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Compiled is a structure-of-arrays execution plan for a Tree: the
 // nodes renumbered into breadth-first (level) order with all per-node
 // data in contiguous slices. It is the layout every hot kernel in this
@@ -24,9 +19,8 @@ import (
 //     is a range loop over consecutive integers, and "gather from
 //     children" reads consecutive memory.
 //   - Contiguous levels: all nodes at depth d+1 occupy the index range
-//     [LevelStart[d], LevelStart[d+1]). Nodes within a level never
-//     depend on each other in an upward (children-first) or downward
-//     (parents-first) pass, so a level is a unit of parallelism.
+//     [LevelStart[d], LevelStart[d+1]), so a tree's height and level
+//     widths are read off without a traversal.
 //
 // A Compiled plan snapshots the element values R and C. Like a cached
 // Fingerprint, it is invalidated by SetR/SetC: Compile tracks the
@@ -74,94 +68,19 @@ func (c *Compiled) MaxLevelWidth() int {
 	return w
 }
 
-// Parallel configuration: level-scheduled goroutine parallelism only
-// pays off when there is enough work per level to amortize the
-// scheduling, and small nets must not regress, so kernels consult
-// ParallelOK before fanning out.
+// The wide-tree class: at least MinParallelNodes nodes with an average
+// level width (N/Levels) of at least MinParallelWidth. The benchmark
+// corpus (perfbench) defines its "wide" deep-nets trees by these
+// constants. No kernel treats such trees specially: every sweep is one
+// serial gather loop, and parallelism comes from the batch engine
+// running many nets at once.
 const (
-	// MinParallelNodes is the node count below which every kernel
-	// stays serial.
+	// MinParallelNodes is the smallest node count of a wide tree.
 	MinParallelNodes = 16384
-	// MinParallelWidth is the minimum average level width (nodes per
-	// level) for the level schedule to be worth running in parallel: a
-	// long chain has one node per level and must stay serial.
+	// MinParallelWidth is the smallest average level width (nodes per
+	// level) of a wide tree; a long chain has one node per level.
 	MinParallelWidth = 64
-	// minChunk is the smallest per-goroutine slice of one level.
-	minChunk = 2048
 )
-
-// ParallelOK reports whether the default heuristic would run parallel
-// level-scheduled kernels on this plan: the tree is large, its levels
-// are wide on average, and more than one CPU is available.
-func (c *Compiled) ParallelOK() bool {
-	n := c.N()
-	return n >= MinParallelNodes &&
-		n/c.Levels() >= MinParallelWidth &&
-		runtime.GOMAXPROCS(0) > 1
-}
-
-// EachLevelUp invokes fn over disjoint compiled-index ranges covering
-// all nodes, children strictly before parents. fn must process its
-// range [lo, hi) in DESCENDING index order and may only read values it
-// wrote for indices > the one being processed (gather form). With
-// parallel=false fn is called once with the full range; with
-// parallel=true each level is split across goroutines, deepest level
-// first, with a barrier between levels. Gather-form kernels produce
-// bit-identical results on both paths.
-func (c *Compiled) EachLevelUp(parallel bool, fn func(lo, hi int)) {
-	if !parallel {
-		fn(0, c.N())
-		return
-	}
-	for l := c.Levels() - 1; l >= 0; l-- {
-		c.runLevel(int(c.LevelStart[l]), int(c.LevelStart[l+1]), fn)
-	}
-}
-
-// EachLevelDown is the downward mirror of EachLevelUp: parents
-// strictly before children, fn processes its range in ASCENDING order
-// and may only read values written for indices < the one in hand.
-func (c *Compiled) EachLevelDown(parallel bool, fn func(lo, hi int)) {
-	if !parallel {
-		fn(0, c.N())
-		return
-	}
-	for l := 0; l < c.Levels(); l++ {
-		c.runLevel(int(c.LevelStart[l]), int(c.LevelStart[l+1]), fn)
-	}
-}
-
-// runLevel executes fn over [lo, hi) split into chunks of at least
-// minChunk across at most GOMAXPROCS goroutines.
-func (c *Compiled) runLevel(lo, hi int, fn func(lo, hi int)) {
-	width := hi - lo
-	if width <= minChunk {
-		fn(lo, hi)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if max := (width + minChunk - 1) / minChunk; workers > max {
-		workers = max
-	}
-	chunk := (width + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		clo := lo + w*chunk
-		chi := clo + chunk
-		if chi > hi {
-			chi = hi
-		}
-		if clo >= chi {
-			break
-		}
-		wg.Add(1)
-		go func(clo, chi int) {
-			defer wg.Done()
-			fn(clo, chi)
-		}(clo, chi)
-	}
-	wg.Wait()
-}
 
 // Compile returns the structure-of-arrays execution plan for t,
 // building it on first use and caching it on the tree. The cached plan

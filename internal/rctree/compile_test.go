@@ -116,60 +116,3 @@ func TestCompileCacheInvalidation(t *testing.T) {
 		t.Fatal("clone shares the original's compiled plan")
 	}
 }
-
-// EachLevelUp/Down must visit every node exactly once, and the
-// parallel level schedule must respect dependency order: by the time a
-// range containing node i runs, all its children (Up) or its parent
-// (Down) have been fully processed.
-func TestEachLevelCoverage(t *testing.T) {
-	tree := randomTestTree(11, 700)
-	testEachLevel(t, Compile(tree))
-	// A wide star exercises the chunked goroutine path (level width
-	// above minChunk).
-	b := NewBuilder()
-	hub := b.MustRoot("hub", 1, 1e-15)
-	for i := 0; i < 3*minChunk; i++ {
-		b.MustAttach(hub, "", 1, 1e-15)
-	}
-	star, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	testEachLevel(t, Compile(star))
-}
-
-func testEachLevel(t *testing.T, c *Compiled) {
-	t.Helper()
-	for _, parallel := range []bool{false, true} {
-		visited := make([]int32, c.N()) // guarded by level barriers
-		c.EachLevelUp(parallel, func(lo, hi int) {
-			for i := hi - 1; i >= lo; i-- {
-				visited[i]++
-				for ch := c.ChildStart[i]; ch < c.ChildStart[i+1]; ch++ {
-					if visited[ch] != 1 {
-						t.Errorf("up: child %d not done before %d", ch, i)
-					}
-				}
-			}
-		})
-		for i, v := range visited {
-			if v != 1 {
-				t.Fatalf("up parallel=%v: node %d visited %d times", parallel, i, v)
-			}
-		}
-		visited = make([]int32, c.N())
-		c.EachLevelDown(parallel, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if p := c.Parent[i]; p != Source && visited[p] != 1 {
-					t.Errorf("down: parent %d not done before %d", p, i)
-				}
-				visited[i]++
-			}
-		})
-		for i, v := range visited {
-			if v != 1 {
-				t.Fatalf("down parallel=%v: node %d visited %d times", parallel, i, v)
-			}
-		}
-	}
-}

@@ -282,37 +282,21 @@ func (t *Tree) SharedPathResistance(i, k int) float64 {
 
 // DownstreamC returns, for every node i, the total capacitance of the
 // subtree rooted at i (including C(i) itself). This is the one-pass
-// upward traversal used by the O(N) Elmore computation; it runs on the
-// compiled structure-of-arrays plan, level-parallel on large bushy
-// trees.
+// upward traversal used by the O(N) Elmore computation: one serial
+// children-first sweep over the compiled structure-of-arrays plan.
 func (t *Tree) DownstreamC() []float64 {
 	cp := Compile(t)
 	out := make([]float64, len(t.nodes))
 	n := cp.N()
 	down := make([]float64, n)
-	if !cp.ParallelOK() {
-		// Plain loop: the closure form below escapes to the heap, and
-		// small nets should not pay that allocation.
-		for i := n - 1; i >= 0; i-- {
-			d := cp.C[i]
-			for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-				d += down[ch]
-			}
-			down[i] = d
-			out[cp.ToUser[i]] = d
+	for i := n - 1; i >= 0; i-- {
+		d := cp.C[i]
+		for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
+			d += down[ch]
 		}
-		return out
+		down[i] = d
+		out[cp.ToUser[i]] = d
 	}
-	cp.EachLevelUp(true, func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			d := cp.C[i]
-			for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-				d += down[ch]
-			}
-			down[i] = d
-			out[cp.ToUser[i]] = d
-		}
-	})
 	return out
 }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"elmore/internal/linalg"
@@ -51,25 +53,23 @@ func TestTreeLUMatchesDense(t *testing.T) {
 			offdC[ci] = offd[ui]
 			rhsC[ci] = rhs[ui]
 		}
-		for _, parallel := range []bool{false, true} {
-			f, err := factorCompiled(cp, diagC, offdC, offdC, tree.Name, parallel)
-			if err != nil {
-				t.Fatalf("trial %d: factorCompiled: %v", trial, err)
-			}
-			got := append([]float64(nil), rhsC...)
-			f.solve(got, parallel)
-			for i := range want {
-				if !approx(got[cp.FromUser[i]], want[i], 1e-8) {
-					t.Fatalf("trial %d (parallel=%v): x[%d] = %v, want %v",
-						trial, parallel, i, got[cp.FromUser[i]], want[i])
-				}
+		f, err := factorCompiled(cp, diagC, offdC, offdC, tree.Name)
+		if err != nil {
+			t.Fatalf("trial %d: factorCompiled: %v", trial, err)
+		}
+		got := append([]float64(nil), rhsC...)
+		f.solve(got)
+		for i := range want {
+			if !approx(got[cp.FromUser[i]], want[i], 1e-8) {
+				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[cp.FromUser[i]], want[i])
 			}
 		}
 	}
 }
 
-// A non-positive pivot must be reported with the offending node's name,
-// under both the serial and the level-parallel factorization.
+// A non-positive pivot must be reported with the offending node's name:
+// elimination runs children first, so the first bad pivot of an
+// all-negative diagonal is the deepest node.
 func TestFactorRejectsBadPivot(t *testing.T) {
 	tree := topo.Chain(4, 1, 1e-15)
 	cp := rctree.Compile(tree)
@@ -79,10 +79,11 @@ func TestFactorRejectsBadPivot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		diag[i] = -1 // every pivot negative
 	}
-	for _, parallel := range []bool{false, true} {
-		_, err := factorCompiled(cp, diag, offd, offd, tree.Name, parallel)
-		if err == nil {
-			t.Fatalf("parallel=%v: factorCompiled accepted a negative diagonal", parallel)
-		}
+	_, err := factorCompiled(cp, diag, offd, offd, tree.Name)
+	if err == nil {
+		t.Fatal("factorCompiled accepted a negative diagonal")
+	}
+	if name := tree.Name(int(cp.ToUser[n-1])); !strings.Contains(err.Error(), strconv.Quote(name)) {
+		t.Fatalf("error %q does not name the deepest node %q", err, name)
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"elmore/internal/faultinject"
 	"elmore/internal/health"
@@ -18,10 +17,8 @@ import (
 // M[i][p] (rowChild) and M[p][i] (rowParent). Eliminating children
 // before parents touches only the parent's diagonal, so there is no
 // fill-in and no pivoting — safe for the diagonally dominant
-// M-matrices produced by MNA stamping. All passes are written in
-// gather form (a node reads its children or its parent, never writes
-// another node's slot), so the level-parallel schedule produces
-// bit-identical results to the serial sweep.
+// M-matrices produced by MNA stamping. Every pass is one serial sweep
+// over the compiled order.
 type treeLU struct {
 	cpl  *rctree.Compiled
 	d    []float64 // eliminated pivots
@@ -34,7 +31,7 @@ type treeLU struct {
 // rowChild and rowParent are compiled-indexed; rowChild is retained by
 // the returned factorization (not copied). name resolves a user node
 // index to its name for the pivot error message.
-func factorCompiled(cpl *rctree.Compiled, diag, rowChild, rowParent []float64, name func(int) string, parallel bool) (*treeLU, error) {
+func factorCompiled(cpl *rctree.Compiled, diag, rowChild, rowParent []float64, name func(int) string) (*treeLU, error) {
 	n := cpl.N()
 	f := &treeLU{
 		cpl:  cpl,
@@ -43,53 +40,46 @@ func factorCompiled(cpl *rctree.Compiled, diag, rowChild, rowParent []float64, n
 		mult: make([]float64, n),
 		cp:   rowChild,
 	}
-	var badPivot atomic.Int64
-	badPivot.Store(-1)
+	bad := -1 // first non-positive pivot in elimination order
 	cs := cpl.ChildStart
-	cpl.EachLevelUp(parallel, func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			d := diag[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d -= f.mult[ch] * rowChild[ch]
-			}
-			f.d[i] = d
-			if d <= 0 {
-				badPivot.CompareAndSwap(-1, int64(i))
-				continue // the error below aborts; mult stays 0
-			}
-			f.dinv[i] = 1 / d
-			if cpl.Parent[i] != rctree.Source {
-				f.mult[i] = rowParent[i] / d
-			}
+	for i := n - 1; i >= 0; i-- {
+		d := diag[i]
+		for ch := cs[i]; ch < cs[i+1]; ch++ {
+			d -= f.mult[ch] * rowChild[ch]
 		}
-	})
-	if i := badPivot.Load(); i >= 0 {
+		f.d[i] = d
+		if d <= 0 {
+			if bad < 0 {
+				bad = i
+			}
+			continue // the error below aborts; mult stays 0
+		}
+		f.dinv[i] = 1 / d
+		if cpl.Parent[i] != rctree.Source {
+			f.mult[i] = rowParent[i] / d
+		}
+	}
+	if bad >= 0 {
 		return nil, fmt.Errorf("sim: non-positive pivot %g at node %q",
-			f.d[i], name(int(cpl.ToUser[i])))
+			f.d[bad], name(int(cpl.ToUser[bad])))
 	}
 	return f, nil
 }
 
 // solve solves M x = rhs in place (rhs is overwritten with x), in
-// compiled index space. The serial path runs closure-free so a
-// steady-state step loop allocates nothing.
-func (f *treeLU) solve(rhs []float64, parallel bool) {
-	if !parallel {
-		f.forward(rhs, rhs, 0, len(rhs))
-		f.backward(rhs, 0, len(rhs))
-		return
-	}
-	f.cpl.EachLevelUp(true, func(lo, hi int) { f.forward(rhs, rhs, lo, hi) })
-	f.cpl.EachLevelDown(true, func(lo, hi int) { f.backward(rhs, lo, hi) })
+// compiled index space.
+func (f *treeLU) solve(rhs []float64) {
+	f.forward(rhs, rhs)
+	f.backward(rhs)
 }
 
-// forward performs elimination (children before parents) over the
-// compiled index range [lo, hi), iterating descending. dst receives the
-// eliminated vector; src supplies the raw RHS (dst and src may alias
-// for an in-place solve — each slot is read before it is written).
-func (f *treeLU) forward(dst, src []float64, lo, hi int) {
+// forward performs elimination (children before parents), iterating
+// descending. dst receives the eliminated vector; src supplies the raw
+// RHS (dst and src may alias for an in-place solve — each slot is read
+// before it is written).
+func (f *treeLU) forward(dst, src []float64) {
 	cs := f.cpl.ChildStart
-	for i := hi - 1; i >= lo; i-- {
+	for i := len(dst) - 1; i >= 0; i-- {
 		x := src[i]
 		for ch := cs[i]; ch < cs[i+1]; ch++ {
 			x -= f.mult[ch] * dst[ch]
@@ -98,12 +88,12 @@ func (f *treeLU) forward(dst, src []float64, lo, hi int) {
 	}
 }
 
-// backward performs back substitution (parents before children) over
-// the compiled index range [lo, hi), iterating ascending: each child
-// row still couples to its parent's already-computed solution.
-func (f *treeLU) backward(rhs []float64, lo, hi int) {
+// backward performs back substitution (parents before children),
+// iterating ascending: each child row still couples to its parent's
+// already-computed solution.
+func (f *treeLU) backward(rhs []float64) {
 	par := f.cpl.Parent
-	for i := lo; i < hi; i++ {
+	for i := range rhs {
 		x := rhs[i]
 		if p := par[i]; p != rctree.Source {
 			x -= f.cp[i] * rhs[p]
@@ -114,22 +104,20 @@ func (f *treeLU) backward(rhs []float64, lo, hi int) {
 
 // stampCompiled assembles the tree-sparse θ-method system matrix for
 // one step size into diag/rowChild/rowParent (compiled-indexed).
-func stampCompiled(cpl *rctree.Compiled, theta, g, cOverDt, diag, rowChild, rowParent []float64, parallel bool) {
+func stampCompiled(cpl *rctree.Compiled, theta, g, cOverDt, diag, rowChild, rowParent []float64) {
 	cs := cpl.ChildStart
 	par := cpl.Parent
-	cpl.EachLevelDown(parallel, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := cOverDt[i] + theta[i]*g[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += theta[i] * g[ch]
-			}
-			diag[i] = d
-			if par[i] != rctree.Source {
-				rowChild[i] = -theta[i] * g[i]
-				rowParent[i] = -theta[par[i]] * g[i]
-			}
+	for i := range diag {
+		d := cOverDt[i] + theta[i]*g[i]
+		for ch := cs[i]; ch < cs[i+1]; ch++ {
+			d += theta[i] * g[ch]
 		}
-	})
+		diag[i] = d
+		if par[i] != rctree.Source {
+			rowChild[i] = -theta[i] * g[i]
+			rowParent[i] = -theta[par[i]] * g[i]
+		}
+	}
 }
 
 // PlanOptions fixes the quantities a Plan bakes into its factorization.
@@ -152,11 +140,10 @@ type PlanOptions struct {
 // the tree's element values. SetR/SetC on the tree after NewPlan do
 // not propagate into the plan — build a new Plan after mutating.
 type Plan struct {
-	tree     *rctree.Tree
-	cp       *rctree.Compiled
-	method   Method
-	dt       float64
-	parallel bool
+	tree   *rctree.Tree
+	cp     *rctree.Compiled
+	method Method
+	dt     float64
 
 	// Per-step stamping runs as an elementwise recurrence instead of a
 	// conductance matvec: row i of the previous solve gives
@@ -200,7 +187,6 @@ func NewPlan(t *rctree.Tree, opts PlanOptions) (*Plan, error) {
 		cp:       cp,
 		method:   opts.Method,
 		dt:       dt,
-		parallel: cp.ParallelOK(),
 		scale:    make([]float64, n),
 		ratio:    make([]float64, n),
 		bTheta:   make([]float64, n),
@@ -234,8 +220,8 @@ func NewPlan(t *rctree.Tree, opts PlanOptions) (*Plan, error) {
 	diag := make([]float64, n)
 	rowChild := make([]float64, n)
 	rowParent := make([]float64, n)
-	stampCompiled(cp, theta, g, cOverDt, diag, rowChild, rowParent, p.parallel)
-	lu, err := factorCompiled(cp, diag, rowChild, rowParent, t.Name, p.parallel)
+	stampCompiled(cp, theta, g, cOverDt, diag, rowChild, rowParent)
+	lu, err := factorCompiled(cp, diag, rowChild, rowParent, t.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -317,36 +303,26 @@ type Runner struct {
 	v    []float64 // current node voltages (compiled order)
 	rhs  []float64 // stamped RHS of the step just solved (recurrence state)
 	x    []float64 // solve workspace; becomes the next voltages
-	// stampFn/fwdFn/bwdFn are premade func values handed to the level
-	// scheduler so the parallel path does not allocate a closure per
-	// step.
-	stampFn, fwdFn, bwdFn func(lo, hi int)
 }
 
 // Runner returns a new runner for the plan.
 func (p *Plan) Runner() *Runner {
 	n := p.cp.N()
-	r := &Runner{
+	return &Runner{
 		plan: p,
 		v:    make([]float64, n),
 		rhs:  make([]float64, n),
 		x:    make([]float64, n),
 	}
-	r.stampFn = r.stamp
-	r.fwdFn = func(lo, hi int) { p.lu.forward(r.x, r.rhs, lo, hi) }
-	r.bwdFn = func(lo, hi int) { p.lu.backward(r.x, lo, hi) }
-	return r
 }
 
-// stamp advances the RHS recurrence over the compiled index range
-// [lo, hi): rhs[i] = scale[i]*v[i] - ratio[i]*rhs[i], elementwise, so
-// chunks may run in parallel and still reproduce the serial sweep
-// bit-for-bit. The per-step source term is added to the root rows
-// afterwards by the caller.
-func (r *Runner) stamp(lo, hi int) {
+// stamp advances the RHS recurrence elementwise:
+// rhs[i] = scale[i]*v[i] - ratio[i]*rhs[i]. The per-step source term
+// is added to the root rows afterwards by the caller.
+func (r *Runner) stamp() {
 	scale, ratio := r.plan.scale, r.plan.ratio
 	v, rhs := r.v, r.rhs
-	for i := lo; i < hi; i++ {
+	for i := range rhs {
 		rhs[i] = scale[i]*v[i] - ratio[i]*rhs[i]
 	}
 }
@@ -397,7 +373,6 @@ func (r *Runner) RunInto(in signal.Signal, opts RunOptions, res *Result) error {
 	res.record(0, r.v)
 
 	dt := p.dt
-	parallel := p.parallel
 	inject := faultinject.Enabled()
 	for step := 1; step <= steps; step++ {
 		if inject {
@@ -411,24 +386,13 @@ func (r *Runner) RunInto(in signal.Signal, opts RunOptions, res *Result) error {
 		}
 		uPrev := in.Eval(float64(step-1) * dt)
 		uCur := in.Eval(float64(step) * dt)
-		if parallel {
-			// Stamping is elementwise; the Down runner just chunks each
-			// level across the worker pool.
-			cp.EachLevelDown(true, r.stampFn)
-		} else {
-			r.stamp(0, n)
-		}
+		r.stamp()
 		// Source coupling enters only at the root rows.
 		for i := 0; i < p.rootEnd; i++ {
 			r.rhs[i] += p.bTheta[i]*uCur + p.bOmTheta[i]*uPrev
 		}
-		if parallel {
-			cp.EachLevelUp(true, r.fwdFn)
-			cp.EachLevelDown(true, r.bwdFn)
-		} else {
-			p.lu.forward(r.x, r.rhs, 0, n)
-			p.lu.backward(r.x, 0, n)
-		}
+		p.lu.forward(r.x, r.rhs)
+		p.lu.backward(r.x)
 		r.v, r.x = r.x, r.v
 		res.record(step, r.v)
 	}

@@ -52,66 +52,38 @@ func TestPlanMatchesRun(t *testing.T) {
 	}
 }
 
-// The forced level-parallel execution must be bit-identical to the
-// serial sweep: the stamping and both solver passes are gather-form.
-func TestPlanParallelBitIdentical(t *testing.T) {
-	for name, tree := range map[string]*rctree.Tree{
-		"random2k": topo.Random(11, topo.RandomOptions{N: 2000}),
-		"star":     topo.Star(500, 4, 60, 1e-14),
-	} {
-		t.Run(name, func(t *testing.T) {
-			mk := func(parallel bool) *Result {
-				plan, err := NewPlan(tree, PlanOptions{DT: 1e-12, Method: BackwardEuler})
-				if err != nil {
-					t.Fatal(err)
-				}
-				plan.parallel = parallel
-				res, err := plan.Run(nil, RunOptions{TEnd: 200e-12})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			serial, par := mk(false), mk(true)
-			for node := 0; node < tree.N(); node++ {
-				sv, _ := serial.Voltages(node)
-				pv, _ := par.Voltages(node)
-				for s := range sv {
-					if sv[s] != pv[s] {
-						t.Fatalf("node %d step %d: serial %v != parallel %v", node, s, sv[s], pv[s])
-					}
-				}
-			}
-		})
-	}
-}
-
 // One Runner recycling one Result must not allocate in steady state —
-// the contract that makes plan-driven characterization sweeps cheap.
+// the contract that makes plan-driven characterization sweeps cheap —
+// on a small chain and on a wide tree alike.
 func TestRunIntoZeroAllocSteadyState(t *testing.T) {
-	tree := topo.Chain(400, 1, 1e-15)
-	plan, err := NewPlan(tree, PlanOptions{DT: 1e-12})
-	if err != nil {
-		t.Fatal(err)
+	wide := topo.Random(21, topo.RandomOptions{N: rctree.MinParallelNodes + 1000, Chaininess: 0.05})
+	if w := wide.N() / rctree.Compile(wide).Levels(); w < rctree.MinParallelWidth {
+		t.Fatalf("wide test tree has only %d nodes per level", w)
 	}
-	if plan.parallel {
-		t.Skip("parallel execution allocates goroutines by design")
-	}
-	r := plan.Runner()
-	res := &Result{}
-	opts := RunOptions{TEnd: 100e-12, Probes: []int{399}}
-	in := signal.Step{}
-	// Warm up: first call sizes the buffers (and telemetry counters).
-	if err := r.RunInto(in, opts, res); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	for name, tree := range map[string]*rctree.Tree{
+		"chain400": topo.Chain(400, 1, 1e-15),
+		"wide":     wide,
+	} {
+		plan, err := NewPlan(tree, PlanOptions{DT: 1e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := plan.Runner()
+		res := &Result{}
+		opts := RunOptions{TEnd: 100e-12, Probes: []int{tree.N() - 1}}
+		in := signal.Step{}
+		// Warm up: first call sizes the buffers (and telemetry counters).
 		if err := r.RunInto(in, opts, res); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("RunInto steady state allocated %v objects per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := r.RunInto(in, opts, res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: RunInto steady state allocated %v objects per run, want 0", name, allocs)
+		}
 	}
 }
 
