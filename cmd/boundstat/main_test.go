@@ -134,3 +134,36 @@ func TestBatchModeFailSoftExit(t *testing.T) {
 		t.Errorf("missing jobs file should fail")
 	}
 }
+
+// TestBatchModeParsesRepeatedDeckOnce: three jobs naming one deck file
+// share one parse through the batch cache's source index, even when
+// three workers load it at once.
+func TestBatchModeParsesRepeatedDeckOnce(t *testing.T) {
+	dir := t.TempDir()
+	netPath := filepath.Join(dir, "net.sp")
+	deck := "Vin in 0 1\nR1 in a 100\nC1 a 0 20f\nR2 a z 150\nC2 z 0 30f\n"
+	if err := os.WriteFile(netPath, []byte(deck), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jobsPath := filepath.Join(dir, "jobs.ndjson")
+	var jobs strings.Builder
+	for i, rise := range []string{"step", "0.5n", "2n"} {
+		fmt.Fprintf(&jobs, "{\"id\":\"j%d\",\"net\":%q,\"rise\":%q}\n", i, netPath, rise)
+	}
+	if err := os.WriteFile(jobsPath, []byte(jobs.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-jobs", jobsPath, "-workers", "3", "-metrics"}, &out, &errBuf); err != nil {
+		t.Fatalf("%v\n%s", err, errBuf.String())
+	}
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Fatalf("want 3 result lines, got %d:\n%s", n, out.String())
+	}
+	metrics := errBuf.String()
+	for _, want := range []string{"serve.hot_tree_misses 1\n", "serve.hot_tree_hits 2\n", "batch.cache_misses 1\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics snapshot lacks %q:\n%s", strings.TrimSpace(want), metrics)
+		}
+	}
+}

@@ -16,8 +16,9 @@
 // Robustness model: per-tenant token-bucket admission (X-API-Key or
 // ?tenant=) sheds overload with 429/503 + Retry-After instead of
 // queueing; client deadlines (X-Elmore-Deadline or ?deadline=) are
-// capped by -max-deadline and propagated into per-job timeouts; a
-// hot-tree LRU skips parse+compile for repeated nets; SIGTERM drains
+// capped by -max-deadline and propagated into per-job timeouts; one
+// byte-budgeted cache (-cache-mb) serves repeated nets' trees, moments
+// and plans without re-parsing or recomputing; SIGTERM drains
 // gracefully — stop admitting, finish or journal in-flight batches,
 // flush the flight recorder, exit 0 — and a restart resumes journaled
 // batches. SIGQUIT (with -flight-dump) dumps the flight ring without
@@ -41,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"elmore/internal/batch"
 	"elmore/internal/cliutil"
 	"elmore/internal/telemetry"
 )
@@ -74,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.DurationVar(&cfg.MaxDeadline, "max-deadline", 2*time.Minute, "cap on client-requested deadlines (and the default when none is sent)")
 	fs.IntVar(&cfg.MaxJobs, "max-jobs", 10000, "max spec lines per /v1/analyze request")
 	fs.Int64Var(&cfg.MaxBody, "max-body", 32<<20, "max request body bytes")
-	fs.IntVar(&cfg.HotTrees, "hot-trees", 256, "hot-tree LRU capacity: repeated nets skip parse+compile (0 = off)")
+	fs.IntVar(&cfg.CacheMB, "cache-mb", batch.DefaultCacheBytes>>20, "budget in MiB of the shared tree/moment/plan cache: repeated nets skip parse, compile and moments (0 = off)")
 	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "directory for per-batch resume journals (empty disables X-Batch-ID journaling)")
 	cf := cliutil.Add(fs)
 	if err := fs.Parse(args); err != nil {
@@ -90,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if cfg.Rate < 0 || cfg.Burst < 0 || cfg.MaxInFlight < 0 || cfg.MaxTenants < 0 ||
 		cfg.Workers < 0 || cfg.Timeout < 0 || cfg.Retries < 0 || cfg.Breaker < 0 ||
 		cfg.TenantTrips < 0 || cfg.MaxDeadline < 0 || cfg.MaxJobs < 0 || cfg.MaxBody < 0 ||
-		cfg.HotTrees < 0 || *drainTimeout < 0 {
+		cfg.CacheMB < 0 || *drainTimeout < 0 {
 		return fmt.Errorf("flag values must be >= 0")
 	}
 	if cfg.SLOs, err = telemetry.ParseSLOs(*sloSpec); err != nil {

@@ -35,7 +35,7 @@ type config struct {
 	MaxDeadline time.Duration // cap on client-requested deadlines
 	MaxJobs     int           // max spec lines per /v1/analyze request
 	MaxBody     int64         // max request body bytes
-	HotTrees    int           // hot-tree LRU capacity; 0 = off
+	CacheMB     int           // shared tree/moment/plan cache budget in MiB; 0 = off
 	JournalDir  string        // per-batch resume journals; "" = off
 	SLOs        []telemetry.SLO
 }
@@ -47,7 +47,6 @@ type server struct {
 	eng     *batch.Engine // template: shared cache, resilience policy
 	limiter *resilience.Limiter
 	gate    *batch.Gate
-	hot     *hotTrees
 	start   time.Time
 
 	// runCtx is the server-lifetime context: request contexts derive
@@ -68,8 +67,10 @@ func newServer(ctx context.Context, cfg config) *server {
 	eng := &batch.Engine{
 		Workers:   cfg.Workers,
 		Timeout:   cfg.Timeout,
-		Cache:     batch.NewCache(),
 		NoDegrade: !cfg.Degrade,
+	}
+	if cfg.CacheMB > 0 {
+		eng.Cache = batch.NewCacheSize(int64(cfg.CacheMB) << 20)
 	}
 	if cfg.Retries > 0 {
 		eng.Retry = &resilience.Policy{
@@ -98,7 +99,6 @@ func newServer(ctx context.Context, cfg config) *server {
 			Breaker:     tenantBreaker,
 		},
 		gate:      &batch.Gate{},
-		hot:       newHotTrees(cfg.HotTrees),
 		start:     time.Now(),
 		runCtx:    runCtx,
 		cancelRun: cancel,
@@ -114,8 +114,8 @@ func newServer(ctx context.Context, cfg config) *server {
 // handler returns the server's mux.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/bound", s.handleBound)
+	mux.HandleFunc("/v1/analyze", s.api("POST NDJSON job specs to /v1/analyze", s.analyze))
+	mux.HandleFunc("/v1/bound", s.api("POST one JSON job spec to /v1/bound", s.bound))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", telemetry.PromHandler{})
 	return mux
@@ -369,60 +369,68 @@ func (s *server) observeSLO(d time.Duration, failed bool) {
 	s.sloMu.Unlock()
 }
 
-// handleAnalyze streams batch results: NDJSON specs in, NDJSON result
-// records out, one trailing serve_summary line.
-func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST NDJSON job specs to /v1/analyze")
-		return
-	}
-	leave, adm, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	began := time.Now()
-	failed := true // flipped on the success path; feeds SLO + tenant breaker
-	defer func() {
-		adm.Release(failed)
-		leave()
-		telemetry.G("serve.inflight").Set(float64(s.gate.InFlight()))
-		s.observeSLO(time.Since(began), failed)
-	}()
+// api wraps an endpoint body in what every API request shares: POST
+// only, admission, the deadline and the serve.decode fault point in
+// front; release, SLO scoring and the tenant breaker's verdict behind.
+// body reports whether the request failed on the server's side (client
+// errors do not count); a panicking body counts as failed.
+func (s *server) api(usage string, body func(w http.ResponseWriter, r *http.Request, deadline time.Duration, began time.Time) (failed bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, usage)
+			return
+		}
+		leave, adm, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
+		began := time.Now()
+		failed := true
+		defer func() {
+			adm.Release(failed)
+			leave()
+			telemetry.G("serve.inflight").Set(float64(s.gate.InFlight()))
+			s.observeSLO(time.Since(began), failed)
+		}()
 
-	deadline, err := s.deadlineOf(r)
-	if err != nil {
-		failed = false // client error, not the tenant's breaker's business
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		deadline, err := s.deadlineOf(r)
+		if err != nil {
+			failed = false
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if err := faultinject.Fire("serve.decode"); err != nil {
+			telemetry.C("serve.requests_failed").Inc()
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		failed = body(w, r, deadline, began)
 	}
-	if err := faultinject.Fire("serve.decode"); err != nil {
-		telemetry.C("serve.requests_failed").Inc()
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+}
+
+// analyze streams batch results: NDJSON specs in, NDJSON result
+// records out, one trailing serve_summary line.
+func (s *server) analyze(w http.ResponseWriter, r *http.Request, deadline time.Duration, began time.Time) bool {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	specs, err := batch.ReadSpecs(body)
 	if err != nil {
-		failed = false
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, err.Error())
-		return
+		return false
 	}
 	if s.cfg.MaxJobs > 0 && len(specs) > s.cfg.MaxJobs {
-		failed = false
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("%d jobs exceed the per-request limit of %d", len(specs), s.cfg.MaxJobs))
-		return
+		return false
 	}
 	jr, rp, releaseBatch, err := s.openBatchJournal(r)
 	if err != nil {
-		failed = false
 		httpError(w, http.StatusConflict, err.Error())
-		return
+		return false
 	}
 	if releaseBatch != nil {
 		defer releaseBatch()
@@ -438,7 +446,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	st, runErr := batch.RunSpecsOpts(ctx, s.requestEngine(deadline), nil, fw, batch.SpecRunOptions{
 		Specs:   specs,
-		Loader:  s.hot.loader(nil),
 		Journal: jr,
 		Replay:  rp,
 	})
@@ -458,67 +465,35 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	b, _ := json.Marshal(sum)
 	fw.Write(append(b, '\n'))
-	failed = runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded)
+	return runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded)
 }
 
-// handleBound is the one-shot endpoint: one JSON job spec in, one JSON
-// result record out. The same admission, deadline, and hot-tree paths
-// as /v1/analyze, without streaming.
-func (s *server) handleBound(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST one JSON job spec to /v1/bound")
-		return
-	}
-	leave, adm, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	began := time.Now()
-	failed := true
-	defer func() {
-		adm.Release(failed)
-		leave()
-		telemetry.G("serve.inflight").Set(float64(s.gate.InFlight()))
-		s.observeSLO(time.Since(began), failed)
-	}()
-
-	deadline, err := s.deadlineOf(r)
-	if err != nil {
-		failed = false
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := faultinject.Fire("serve.decode"); err != nil {
-		telemetry.C("serve.requests_failed").Inc()
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+// bound is the one-shot endpoint: one JSON job spec in, one JSON
+// result record out, through the same cache as /v1/analyze, without
+// streaming.
+func (s *server) bound(w http.ResponseWriter, r *http.Request, deadline time.Duration, _ time.Time) bool {
 	var spec batch.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		failed = false
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return false
 	}
 
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
-	job := spec.JobLoader(nil, 0, s.hot.loader(nil))
+	job := spec.JobLoader(nil, 0, s.eng.Cache.Loader())
 	res := s.requestEngine(deadline).Run(ctx, []batch.Job{job})
 	telemetry.C("serve.jobs").Inc()
-	rec := batch.Record(res[0])
-	failed = res[0].Err != nil && ctx.Err() == nil
-	if res[0].Err != nil {
-		telemetry.C("serve.requests_failed").Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
 	status := http.StatusOK
 	if res[0].Err != nil {
+		telemetry.C("serve.requests_failed").Inc()
 		status = http.StatusUnprocessableEntity
 	}
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(rec)
+	json.NewEncoder(w).Encode(batch.Record(res[0]))
+	return res[0].Err != nil && ctx.Err() == nil
 }
 
 // healthz is the readiness probe: 200 while serving, 503 once draining
@@ -538,6 +513,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"goroutines":     runtime.NumGoroutine(),
 		"heap_bytes":     ms.HeapAlloc,
-		"hot_trees":      s.hot.Len(),
+		"cache_entries":  s.eng.Cache.Len(),
+		"cache_bytes":    s.eng.Cache.Bytes(),
 	})
 }

@@ -40,7 +40,7 @@ func specBody(n int) string {
 func testConfig() config {
 	return config{
 		Workers: 2, Degrade: true, MaxDeadline: time.Minute,
-		MaxJobs: 1000, MaxBody: 1 << 20, HotTrees: 8,
+		MaxJobs: 1000, MaxBody: 1 << 20, CacheMB: 8,
 	}
 }
 
@@ -256,6 +256,8 @@ func TestDeadlineCutsSlowBatch(t *testing.T) {
 	}
 }
 
+// TestHotTreeLRUSkipsReparse: repeated inline decks are served from the
+// batch cache's source index — one parse, one entry — across requests.
 func TestHotTreeLRUSkipsReparse(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	prevReg := telemetry.SetDefault(reg)
@@ -266,8 +268,8 @@ func TestHotTreeLRUSkipsReparse(t *testing.T) {
 			t.Fatalf("round %d failed: %+v", i, sum)
 		}
 	}
-	if got := s.hot.Len(); got != 1 {
-		t.Fatalf("hot-tree entries = %d, want 1 (all jobs share one deck)", got)
+	if got := s.eng.Cache.Len(); got != 1 {
+		t.Fatalf("cache entries = %d, want 1 (all jobs share one deck)", got)
 	}
 	if hits := reg.Counter("serve.hot_tree_hits").Value(); hits < 4 {
 		t.Fatalf("hot_tree_hits = %d, want >= 4 (6 loads, 1 parse)", hits)

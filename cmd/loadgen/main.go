@@ -53,7 +53,7 @@ func main() {
 }
 
 // specBody renders n inline-netlist job specs drawn from a small pool
-// of distinct random decks (so the server's hot-tree LRU sees repeats,
+// of distinct random decks (so the server's cache sees repeats,
 // like a real corner sweep would produce).
 func specBody(seed int64, n, nets, maxNodes int) string {
 	if nets < 1 {

@@ -21,8 +21,9 @@
 //     regardless of which worker finished first. Once the batch context
 //     is cancelled RunFunc stops emitting; Run reports the unemitted
 //     jobs with the context's error.
-//   - Shared moment reuse: an optional immutable Cache keyed by tree
-//     fingerprint lets repeated nets reuse one moments.Set.
+//   - Shared reuse: an optional byte-budgeted Cache keyed by tree
+//     fingerprint lets repeated nets reuse one parsed tree, moments.Set
+//     and sim.Plan.
 //   - Resilience: an optional retry Policy re-runs transiently failing
 //     attempts with backoff, a Breaker cuts off trees that keep
 //     failing, a Watchdog flags stuck attempts, and — because the
@@ -33,8 +34,9 @@
 //     "elmore-bound").
 //
 // The engine is instrumented with the telemetry package: a
-// batch.queue_depth gauge, batch.jobs / batch.job_errors /
-// batch.cache_hits / batch.cache_misses / resilience.retries /
+// batch.queue_depth gauge, batch.cache_entries / batch.cache_bytes
+// gauges, batch.jobs / batch.job_errors / batch.cache_hits /
+// batch.cache_misses / batch.cache_evictions / resilience.retries /
 // resilience.degraded counters, and one batch.job span per job nested
 // under the batch.run span.
 package batch
@@ -137,7 +139,7 @@ type Result struct {
 type Engine struct {
 	Workers int           // max concurrent jobs; <= 0 means runtime.GOMAXPROCS(0)
 	Timeout time.Duration // per-attempt limit; <= 0 means none
-	Cache   *Cache        // shared moment-set cache; nil disables reuse
+	Cache   *Cache        // shared tree/moment/plan cache; nil disables reuse
 	Report  *Reporter     // run reporting (progress, slow log, summary); nil disables
 
 	// Retry re-runs transiently failing attempts; nil means one attempt

@@ -24,10 +24,7 @@ func forceShards(t *testing.T, c *Cache, n int) {
 	if n&(n-1) != 0 {
 		t.Fatalf("forceShards(%d): stripe count must be a power of two", n)
 	}
-	c.init.Do(func() {
-		c.shards = make([]cacheShard, n)
-		c.mask = uint64(n - 1)
-	})
+	c.init.Do(func() { c.setup(n) })
 	if len(c.shards) != n {
 		t.Fatalf("stripe init raced: got %d shards, want %d", len(c.shards), n)
 	}
@@ -88,7 +85,7 @@ func TestCacheSpreadsAcrossShards(t *testing.T) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if len(sh.m) > 0 {
+		if sh.lru.Len() > 0 {
 			populated++
 		}
 		sh.mu.Unlock()
@@ -110,14 +107,7 @@ func TestCacheMissClassifiedByCompute(t *testing.T) {
 
 	c := NewCache()
 	tree := chainNet(t, 8)
-	key := tree.Fingerprint()
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[uint64]*cacheEntry)
-	}
-	sh.m[key] = &cacheEntry{} // inserted, never computed
-	sh.mu.Unlock()
+	e := c.entry(nil, tree) // inserted, never computed
 
 	ws := &WorkerStats{}
 	if _, hit, err := c.moments(ws, nil, tree, 3); err != nil {
@@ -133,13 +123,9 @@ func TestCacheMissClassifiedByCompute(t *testing.T) {
 	}
 
 	// Same asymmetry on the plans path.
-	pkey := planKey{fp: key, dtBits: 0x3fe0000000000000, method: sim.BackwardEuler}
-	psh := c.shard(pkey.fp)
+	psh := c.shard(e.fp)
 	psh.mu.Lock()
-	if psh.plans == nil {
-		psh.plans = make(map[planKey]*planEntry)
-	}
-	psh.plans[pkey] = &planEntry{}
+	e.plans = map[planKey]*planEntry{{dtBits: 0x3fe0000000000000, method: sim.BackwardEuler}: {}}
 	psh.mu.Unlock()
 	if _, hit, err := c.plan(ws, tree, 0.5, sim.BackwardEuler); err != nil {
 		t.Fatal(err)
@@ -233,14 +219,9 @@ func TestEvictNeverRemovesNewerEntry(t *testing.T) {
 	c := NewCache()
 	forceShards(t, c, 4)
 	tree := chainNet(t, 8)
-	key := tree.Fingerprint()
 
-	stale := &cacheEntry{}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	sh.m = map[uint64]*cacheEntry{key: stale}
-	sh.mu.Unlock()
-	c.evictMoments(key, stale)
+	stale := c.entry(nil, tree)
+	c.evict(stale)
 	if c.Len() != 0 {
 		t.Fatalf("evicting the current entry left Len=%d, want 0", c.Len())
 	}
@@ -249,7 +230,7 @@ func TestEvictNeverRemovesNewerEntry(t *testing.T) {
 	if _, _, err := c.Moments(tree, 3); err != nil {
 		t.Fatal(err)
 	}
-	c.evictMoments(key, stale)
+	c.evict(stale)
 	if c.Len() != 1 {
 		t.Errorf("stale eviction removed the replacement moment entry")
 	}
@@ -259,19 +240,21 @@ func TestEvictNeverRemovesNewerEntry(t *testing.T) {
 	}
 
 	// Same guard on the plans side.
-	pkey := planKey{fp: key, dtBits: 1, method: sim.BackwardEuler}
+	e := c.entry(nil, tree)
+	pkey := planKey{dtBits: 1, method: sim.BackwardEuler}
 	staleP := &planEntry{}
+	sh := c.shard(e.fp)
 	sh.mu.Lock()
-	sh.plans = map[planKey]*planEntry{pkey: staleP}
+	e.plans = map[planKey]*planEntry{pkey: staleP}
 	sh.mu.Unlock()
-	c.evictPlan(pkey, staleP)
+	c.dropPlan(e, pkey, staleP)
 	if c.PlanLen() != 0 {
 		t.Fatalf("evicting the current plan entry left PlanLen=%d, want 0", c.PlanLen())
 	}
 	sh.mu.Lock()
-	sh.plans[pkey] = &planEntry{}
+	e.plans[pkey] = &planEntry{}
 	sh.mu.Unlock()
-	c.evictPlan(pkey, staleP)
+	c.dropPlan(e, pkey, staleP)
 	if c.PlanLen() != 1 {
 		t.Errorf("stale eviction removed the replacement plan entry")
 	}

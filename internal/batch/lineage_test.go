@@ -138,26 +138,20 @@ func TestSpecLineageEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReporterBoundedLatencyMemory is the O(jobs) fix: past the
-// exact-sample threshold the reporter keeps no per-job latency state —
-// only the fixed-footprint sketch — and the summary says so.
+// TestReporterBoundedLatencyMemory is the O(jobs) fix: whatever the run
+// size, the reporter keeps no per-job latency state — only the
+// fixed-footprint sketch — and the summary says so.
 func TestReporterBoundedLatencyMemory(t *testing.T) {
 	var summary bytes.Buffer
 	rep := &Reporter{Summary: &summary}
 
-	total := exactLatencyThreshold + 1
+	const total = 4097
 	var pending atomic.Int64
 	rr := rep.begin(total, &pending)
-	if rr.latExact != nil {
-		t.Fatalf("large run (%d jobs) allocated the exact-sample slice", total)
-	}
 	sketchBytes := rr.sketch.MemoryBytes()
 	for i := 0; i < total; i++ {
 		rr.observe(Result{Index: i, ID: "j",
 			Elapsed: time.Duration(i+1) * time.Microsecond})
-	}
-	if rr.latExact != nil {
-		t.Error("exact samples appeared mid-run")
 	}
 	if got := rr.sketch.MemoryBytes(); got != sketchBytes {
 		t.Errorf("sketch grew %d -> %d bytes over %d jobs", sketchBytes, got, total)
@@ -184,12 +178,9 @@ func TestReporterBoundedLatencyMemory(t *testing.T) {
 		t.Errorf("max = %v ms, want exact %v", rec.LatencyMS.Max, want)
 	}
 
-	// Below the threshold the exact path is still taken.
+	// A small run takes the same sketch path: no exact-sample mode.
 	summary.Reset()
 	rr = rep.begin(16, &pending)
-	if rr.latExact == nil {
-		t.Fatal("small run dropped exact samples")
-	}
 	for i := 0; i < 16; i++ {
 		rr.observe(Result{Index: i, Elapsed: time.Millisecond})
 	}
@@ -198,8 +189,11 @@ func TestReporterBoundedLatencyMemory(t *testing.T) {
 	if err := json.Unmarshal(summary.Bytes(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.LatencySource != "exact" {
-		t.Errorf("small-run latency_source = %q, want exact", rec.LatencySource)
+	if rec.LatencySource != "sketch" {
+		t.Errorf("small-run latency_source = %q, want sketch", rec.LatencySource)
+	}
+	if rec.LatencyMS.Max != 1 {
+		t.Errorf("small-run max = %v ms, want exact 1", rec.LatencyMS.Max)
 	}
 }
 

@@ -233,7 +233,8 @@ type SpecRunOptions struct {
 	// empty.
 	DefaultSlew float64
 	// Loader resolves net references (file path or inline text); nil
-	// means DefaultTreeLoader. elmored injects its hot-tree LRU here.
+	// means the engine cache's Loader (DefaultTreeLoader without a
+	// cache).
 	Loader TreeLoader
 	// Journal and Replay are the crash-safe checkpoint pair; each may be
 	// nil (no journaling / fresh start).
@@ -273,6 +274,10 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		}
 	}
 	jr, rp := opts.Journal, opts.Replay
+	load := opts.Loader
+	if load == nil {
+		load = e.Cache.Loader()
+	}
 	st := RunStats{Total: len(specs)}
 	jobs := make([]Job, 0, len(specs))
 	orig := make([]int, 0, len(specs)) // submitted index -> spec index
@@ -287,7 +292,7 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 				st.Requeued++
 			}
 		}
-		jobs = append(jobs, s.JobLoader(opts.Lib, opts.DefaultSlew, opts.Loader))
+		jobs = append(jobs, s.JobLoader(opts.Lib, opts.DefaultSlew, load))
 		orig = append(orig, i)
 	}
 	if st.Requeued > 0 {

@@ -122,22 +122,42 @@ func ParseRise(tok string) (signal.Signal, error) {
 
 // TreeLoader resolves one spec net reference — a file path in net, or
 // deck text in netlist (exactly one is non-empty) — into its RC tree.
-// The hook lets a host intercept loads: elmored's hot-tree LRU serves
-// repeated nets without re-parsing, and tests substitute synthetic
-// trees without touching the filesystem.
+// Engines with a Cache load through Cache.Loader, which serves
+// repeated decks without re-parsing; tests substitute synthetic trees
+// without touching the filesystem.
 type TreeLoader func(net, netlist string) (*rctree.Tree, error)
 
-// DefaultTreeLoader opens net as a netlist file, or parses netlist as
-// inline deck text. It is what Job uses when no loader is injected.
+// DefaultTreeLoader reads net as a netlist file, or parses netlist as
+// inline deck text, with no caching.
 func DefaultTreeLoader(net, netlist string) (*rctree.Tree, error) {
-	if netlist != "" {
-		deck, err := netlistpkg.ParseString(netlist)
-		if err != nil {
-			return nil, fmt.Errorf("inline netlist: %w", err)
-		}
-		return deck.Tree, nil
+	src, err := deckText(net, netlist)
+	if err != nil {
+		return nil, err
 	}
-	return loadNet(net)
+	return parseDeck(net, src)
+}
+
+// deckText returns the deck a net reference names: the inline text, or
+// the file's current contents.
+func deckText(net, netlist string) (string, error) {
+	if net == "" {
+		return netlist, nil
+	}
+	b, err := os.ReadFile(net)
+	return string(b), err
+}
+
+// parseDeck parses deck text src into its RC tree; net, when set, is
+// the file it was read from, for the error message.
+func parseDeck(net, src string) (*rctree.Tree, error) {
+	deck, err := netlistpkg.ParseString(src)
+	if err != nil {
+		if net != "" {
+			return nil, fmt.Errorf("%s: %w", net, err)
+		}
+		return nil, fmt.Errorf("inline netlist: %w", err)
+	}
+	return deck.Tree, nil
 }
 
 // Job materializes a spec with the default filesystem loader. See
@@ -277,18 +297,4 @@ func parseMethod(tok string) (sim.Method, error) {
 		return sim.BackwardEuler, nil
 	}
 	return sim.Trapezoidal, fmt.Errorf("unknown method %q (want trap or be)", tok)
-}
-
-// loadNet parses one netlist file into its RC tree.
-func loadNet(path string) (*rctree.Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	deck, err := netlistpkg.Parse(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return deck.Tree, nil
 }

@@ -53,6 +53,9 @@ var standardHelp = map[string]string{
 	"batch.reorder_stalls":              "Times the emitter stalled waiting for an out-of-order result.",
 	"batch.cache_hits":                  "Moment-cache hits in the batch engine.",
 	"batch.cache_misses":                "Moment-cache misses in the batch engine.",
+	"batch.cache_entries":               "Circuits resident in the batch cache (tree, moments and plans per entry).",
+	"batch.cache_bytes":                 "Modelled bytes of the circuits resident in the batch cache; at most its budget.",
+	"batch.cache_evictions":             "Circuits evicted from the batch cache to stay within its byte budget.",
 	"batch.plan_cache_hits":             "Compiled-plan cache hits in the batch engine.",
 	"batch.plan_cache_misses":           "Compiled-plan cache misses in the batch engine.",
 	"batch.resumed_jobs":                "Jobs skipped on resume because the journal marked them done.",
@@ -78,9 +81,8 @@ var standardHelp = map[string]string{
 	"serve.batches":                     "Batch /v1/analyze requests completed.",
 	"serve.jobs":                        "Jobs evaluated across all /v1/analyze requests.",
 	"serve.inflight":                    "Requests currently inside the serve drain gate.",
-	"serve.hot_tree_hits":               "Net loads served from the hot-tree LRU without re-parsing.",
-	"serve.hot_tree_misses":             "Net loads that parsed and compiled a tree before caching it.",
-	"serve.hot_tree_evictions":          "Trees evicted from the bounded hot-tree LRU.",
+	"serve.hot_tree_hits":               "Net loads served from the batch cache's source index without re-parsing.",
+	"serve.hot_tree_misses":             "Net loads that parsed a deck before caching its tree.",
 	"serve.deadline_truncations":        "Requests whose per-job timeout was tightened to the client deadline.",
 	"serve.drains":                      "Graceful drains begun (SIGTERM / shutdown).",
 	"faultinject.fired":                 "Injected faults fired across all points.",

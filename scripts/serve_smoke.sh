@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# serve_smoke.sh — end-to-end smoke for elmored's two robustness
+# serve_smoke.sh — end-to-end smoke for elmored's robustness
 # contracts, driven by loadgen with seeded faults armed:
+#
+#   phase 0 (bounded cache): distinct large nets streamed through a
+#     1 MiB -cache-mb budget force evictions, and /metrics reports
+#     batch_cache_bytes within the budget.
 #
 #   phase 1 (overload): at 2x the admitted capacity with serve.decode
 #     delay faults firing, shed requests carry Retry-After, admitted
@@ -45,6 +49,27 @@ wait_listen() {
   cat "$log" >&2
   return 1
 }
+
+echo "== phase 0: the shared cache stays within its -cache-mb budget =="
+"$ART/elmored" -addr 127.0.0.1:0 -cache-mb 1 2> "$ART/serve-phase0.log" &
+PID1=$!
+URL0=$(wait_listen "$ART/serve-phase0.log")
+"$ART/loadgen" -url "$URL0" -rate 2 -duration 2s -jobs 400 -nets 400 -max-nodes 400 \
+  > "$ART/loadgen-cache.json"
+curl -fsS "$URL0/metrics" > "$ART/serve-cache-metrics.txt"
+awk -v budget=$((1 << 20)) '
+  $1 == "batch_cache_bytes" { bytes = $2; seen = 1 }
+  $1 == "batch_cache_evictions" { evictions = $2 }
+  END {
+    if (!seen) { print "batch_cache_bytes missing from /metrics" > "/dev/stderr"; exit 1 }
+    if (bytes + 0 > budget) { printf "batch_cache_bytes %s over the %d budget\n", bytes, budget > "/dev/stderr"; exit 1 }
+    if (evictions + 0 < 1) { print "no batch_cache_evictions under a 1 MiB budget" > "/dev/stderr"; exit 1 }
+    printf "cache: %s bytes, %s evictions\n", bytes, evictions
+  }' "$ART/serve-cache-metrics.txt"
+kill -TERM "$PID1"
+wait "$PID1"
+PID1=
+echo "phase 0 ok"
 
 echo "== phase 1: overload sheds cleanly under seeded faults =="
 ELMORE_FAULTS='serve.decode:delay:p=0.3;delay=30ms' ELMORE_FAULT_SEED=11 \
