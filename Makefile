@@ -27,10 +27,12 @@ health-strict:
 # Fault-injection chaos suite under the race detector: thousands of
 # batch jobs with seeded faults in the simulator, moment engine, and
 # dispatcher, plus the journal resume and cancellation-leak tests.
+# Tests are selected by name, so run_named_tests.sh fails the lane when
+# a rename leaves part of the selection matching nothing.
 chaos:
-	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestJournal|TestRunSpecsJournalResume|TestRunFuncStopsEmittingAfterCancel' \
-		./internal/batch
+	GO=$(GO) bash scripts/run_named_tests.sh \
+		'TestChaos|TestJournal|TestRunSpecsJournalResume|TestRunFuncStopsEmittingAfterCancel' \
+		-race -count=1 -- ./internal/batch
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/resilience ./internal/cliutil
 
 # Short exploratory fuzz runs for the two line-oriented parsers. Go
@@ -96,7 +98,8 @@ scaling-smoke:
 # tracestat -by-trace, and the summary's SLO rows account for every
 # job. Finally the disabled-path budgets: with no tracer/recorder/SLOs
 # installed the per-job observability cost must stay at zero
-# allocations (AllocsPerRun-asserted in the named tests).
+# allocations (AllocsPerRun-asserted in the named tests, which
+# run_named_tests.sh fails on when a rename drops one).
 obs-smoke:
 	mkdir -p artifacts
 	$(GO) run ./cmd/rcgen -topology random -n 24 -seed 7 -o artifacts/obs-net.sp
@@ -116,8 +119,9 @@ obs-smoke:
 	python3 scripts/obs_lineage_check.py artifacts/obs-jobs.ndjson \
 		artifacts/obs-results.ndjson artifacts/obs-flight.ndjson \
 		artifacts/obs-bytrace.txt artifacts/obs-summary.ndjson
-	$(GO) test -run 'TestWorkerLoopAllocBudget|TestFlightDisabledPathFree|TestMintTraceAllocFree|TestSketchBoundedMemory|TestReporterBoundedLatencyMemory' \
-		-count=1 -v ./internal/batch ./internal/telemetry | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
+	GO=$(GO) bash scripts/run_named_tests.sh \
+		'TestWorkerLoopAllocBudget|TestFlightDisabledPathFree|TestMintTraceAllocFree|TestSketchBoundedMemory|TestReporterBoundedLatencyMemory' \
+		-count=1 -v -- ./internal/batch ./internal/telemetry
 
 # Serve-mode smoke (ISSUE 10 acceptance): elmored under 2x-capacity
 # load with seeded serve.decode faults must shed with Retry-After while

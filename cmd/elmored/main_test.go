@@ -98,16 +98,33 @@ func TestRunServesMetricsAndExitsZeroOnSIGTERM(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: validation happens before any listener opens.
+// TestRunRejectsBadFlags: validation happens before any listener opens,
+// and a rejected numeric flag is named in the error.
 func TestRunRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-rate", "-1"},
-		{"-max-deadline", "-1s"},
-		{"-slo", "p0=1s"},
-		{"positional"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rate", "-1"}, "-rate"},
+		{[]string{"-burst", "-1"}, "-burst"},
+		{[]string{"-max-inflight", "-1"}, "-max-inflight"},
+		{[]string{"-max-tenants", "-1"}, "-max-tenants"},
+		{[]string{"-tenant-breaker", "-1"}, "-tenant-breaker"},
+		{[]string{"-max-deadline", "-1s"}, "-max-deadline"},
+		{[]string{"-max-jobs", "-1"}, "-max-jobs"},
+		{[]string{"-max-body", "-1"}, "-max-body"},
+		{[]string{"-cache-mb", "-1"}, "-cache-mb"},
+		{[]string{"-drain-timeout", "-1s"}, "-drain-timeout"},
+		{[]string{"-workers", "-1"}, "-workers"},
+		{[]string{"-timeout", "-1s"}, "-timeout"},
+		{[]string{"-retries", "-1"}, "-retries"},
+		{[]string{"-breaker", "-1"}, "-breaker"},
+		{[]string{"-slo", "p0=1s"}, "-slo"},
+		{[]string{"positional"}, "unexpected arguments"},
 	} {
-		if err := run(args, io.Discard, io.Discard); err == nil {
-			t.Errorf("args %v accepted, want error", args)
+		err := run(tc.args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want an error naming %s", tc.args, err, tc.want)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"elmore/internal/batch"
+	"elmore/internal/cliutil"
 	"elmore/internal/faultinject"
 	"elmore/internal/resilience"
 	"elmore/internal/telemetry"
@@ -22,11 +23,8 @@ import (
 
 // config is the server's tuning, filled from flags in main.
 type config struct {
-	Workers     int           // batch workers per request
-	Timeout     time.Duration // per-attempt job limit; 0 = none
-	Retries     int           // extra attempts for transient failures
-	Breaker     int           // per-net consecutive-failure threshold; 0 = off
-	Degrade     bool          // elmore-bound fallback for exhausted sim jobs
+	Engine cliutil.EngineFlags // -workers, -timeout, -retries, -breaker, -degrade
+
 	Rate        float64       // per-tenant admissions/second; 0 = off
 	Burst       float64       // per-tenant bucket capacity
 	MaxInFlight int           // process-wide concurrent requests; 0 = off
@@ -64,24 +62,10 @@ type server struct {
 
 // newServer builds the server and its lifetime context from ctx.
 func newServer(ctx context.Context, cfg config) *server {
-	eng := &batch.Engine{
-		Workers:   cfg.Workers,
-		Timeout:   cfg.Timeout,
-		NoDegrade: !cfg.Degrade,
-	}
+	eng := cfg.Engine.Engine()
+	eng.Cache = nil // -cache-mb 0 turns caching off
 	if cfg.CacheMB > 0 {
 		eng.Cache = batch.NewCacheSize(int64(cfg.CacheMB) << 20)
-	}
-	if cfg.Retries > 0 {
-		eng.Retry = &resilience.Policy{
-			MaxAttempts: cfg.Retries + 1,
-			BaseDelay:   50 * time.Millisecond,
-			MaxDelay:    2 * time.Second,
-			RetryPanics: true,
-		}
-	}
-	if cfg.Breaker > 0 {
-		eng.Breaker = &resilience.Breaker{Threshold: cfg.Breaker}
 	}
 	var tenantBreaker *resilience.Breaker
 	if cfg.TenantTrips > 0 {
@@ -444,8 +428,7 @@ func (s *server) analyze(w http.ResponseWriter, r *http.Request, deadline time.D
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	fw := &flushWriter{w: w, rc: http.NewResponseController(w), cancel: cancel}
 
-	st, runErr := batch.RunSpecsOpts(ctx, s.requestEngine(deadline), nil, fw, batch.SpecRunOptions{
-		Specs:   specs,
+	st, runErr := batch.RunSpecs(ctx, s.requestEngine(deadline), specs, fw, batch.SpecRunOptions{
 		Journal: jr,
 		Replay:  rp,
 	})
@@ -482,7 +465,7 @@ func (s *server) bound(w http.ResponseWriter, r *http.Request, deadline time.Dur
 
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
-	job := spec.JobLoader(nil, 0, s.eng.Cache.Loader())
+	job := spec.Job(nil, 0, s.eng.Cache.Loader())
 	res := s.requestEngine(deadline).Run(ctx, []batch.Job{job})
 	telemetry.C("serve.jobs").Inc()
 	status := http.StatusOK

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"elmore/internal/cliutil"
 	"elmore/internal/faultinject"
 	"elmore/internal/telemetry"
 )
@@ -39,8 +40,8 @@ func specBody(n int) string {
 
 func testConfig() config {
 	return config{
-		Workers: 2, Degrade: true, MaxDeadline: time.Minute,
-		MaxJobs: 1000, MaxBody: 1 << 20, CacheMB: 8,
+		Engine:      cliutil.EngineFlags{Workers: 2, Degrade: true},
+		MaxDeadline: time.Minute, MaxJobs: 1000, MaxBody: 1 << 20, CacheMB: 8,
 	}
 }
 

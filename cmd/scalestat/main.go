@@ -244,28 +244,22 @@ func runStep(jobs []batch.Job, workers int) (*step, error) {
 	prev := telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(prev)
 
-	var ps *batch.PoolStats
-	eng := &batch.Engine{
-		Workers: workers,
-		Cache:   batch.NewCache(),
-		OnStats: func(rs batch.PoolStats) { ps = &rs },
-	}
+	eng := &batch.Engine{Workers: workers, Cache: batch.NewCache()}
+	sk := telemetry.NewDurationSketch()
+	var jobErr error
 	runtime.GC() // settle the heap so GC deltas belong to this step
 	before := telemetry.ReadRuntime()
 	start := time.Now()
-	results := eng.Run(context.Background(), jobs)
-	elapsed := time.Since(start)
-	after := telemetry.ReadRuntime()
-
-	sk := telemetry.NewDurationSketch()
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("workers=%d: job %s failed: %w", workers, r.ID, r.Err)
+	ps := eng.RunFunc(context.Background(), jobs, func(r batch.Result) {
+		if r.Err != nil && jobErr == nil {
+			jobErr = fmt.Errorf("workers=%d: job %s failed: %w", workers, r.ID, r.Err)
 		}
 		sk.Observe(r.Elapsed)
-	}
-	if ps == nil {
-		return nil, fmt.Errorf("workers=%d: engine delivered no PoolStats", workers)
+	})
+	elapsed := time.Since(start)
+	after := telemetry.ReadRuntime()
+	if jobErr != nil {
+		return nil, jobErr
 	}
 
 	st := &step{

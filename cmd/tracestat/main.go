@@ -478,7 +478,7 @@ type traceStat struct {
 
 // anomalyKinds are the flight kinds worth surfacing per trace, in
 // display order; span/job_done are the normal-path record kinds.
-var anomalyKinds = []string{"retry", "panic", "degraded", "breaker_open", "fault", "stuck", "slow_job"}
+var anomalyKinds = []string{"retry", "panic", "degraded", "breaker_open", "fault", "slow_job"}
 
 // writeByTrace prints one row per trace id: the full lineage of a job
 // across its attempts, stitched together from span records and

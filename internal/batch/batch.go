@@ -26,12 +26,14 @@
 //     and sim.Plan.
 //   - Resilience: an optional retry Policy re-runs transiently failing
 //     attempts with backoff, a Breaker cuts off trees that keep
-//     failing, a Watchdog flags stuck attempts, and — because the
-//     paper guarantees the Elmore delay T_D = m1 bounds the 50% delay
-//     from above and max(mu-sigma, 0) from below — a transient sweep
-//     whose simulation keeps failing degrades gracefully to those
-//     moment bounds instead of erroring (Result.Degraded
-//     "elmore-bound").
+//     failing, and — because the paper guarantees the Elmore delay
+//     T_D = m1 bounds the 50% delay from above and max(mu-sigma, 0)
+//     from below — a transient sweep whose simulation keeps failing
+//     degrades gracefully to those moment bounds instead of erroring
+//     (Result.Degraded "elmore-bound").
+//   - Crash-safe resume: RunSpecs with a Journal records each job as
+//     its worker picks it up and again once its result line is written,
+//     so a restarted run skips exactly the delivered jobs.
 //
 // The engine is instrumented with the telemetry package: a
 // batch.queue_depth gauge, batch.cache_entries / batch.cache_bytes
@@ -149,34 +151,10 @@ type Engine struct {
 	// failing transiently; nil disables. Jobs rejected by an open
 	// breaker degrade like any other transient failure.
 	Breaker *resilience.Breaker
-	// Watchdog flags attempts running far past expectations; nil
-	// disables. With CancelStuck set it also cancels them.
-	Watchdog *resilience.Watchdog
 	// NoDegrade turns off graceful degradation: transient jobs whose
 	// simulation exhausts its attempts report the error instead of the
 	// moment-bound interval.
 	NoDegrade bool
-
-	// OnStart, when non-nil, observes each job the moment a worker
-	// picks it up (before any attempt). It is called concurrently from
-	// worker goroutines with the worker's context (which carries the
-	// values OnWorker attached) and the job's trace context; the
-	// crash-safe journal uses it to record in-flight jobs — with their
-	// lineage — through a per-worker buffered writer.
-	OnStart func(ctx context.Context, index int, id string, trace telemetry.TraceContext)
-
-	// OnWorker, when non-nil, runs once per worker goroutine before it
-	// takes its first job. The returned context (when non-nil) replaces
-	// the worker's context for everything it runs, and the returned
-	// cleanup (when non-nil) runs as the worker exits. The journal
-	// layer uses it to give each worker a private buffered journal
-	// writer flushed at worker exit.
-	OnWorker func(ctx context.Context, worker int) (context.Context, func())
-
-	// OnStats, when non-nil, receives the run's per-worker accounting
-	// (PoolStats) once every worker has exited, on the RunFunc goroutine.
-	// cmd/scalestat uses it to build scaling reports.
-	OnStats func(PoolStats)
 }
 
 // Run evaluates all jobs and returns one Result per job, in job order.
@@ -203,13 +181,23 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 // order (emit runs on the calling goroutine, so it needs no locking).
 // Results stream: result i is emitted as soon as jobs 0..i have all
 // finished, so a slow job delays — but never reorders — the output.
+// It returns the run's per-worker accounting once every worker has
+// exited.
 //
 // Cancellation contract: once ctx's cancellation is observed, emit is
 // never called again — jobs not yet emitted are simply dropped (Run
 // reports them with ctx's error; a journal re-queues them on resume).
 // Workers still drain to completion, so RunFunc returns only after
 // every in-flight job has finished.
-func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
+func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) PoolStats {
+	return e.run(ctx, jobs, nil, nil, emit)
+}
+
+// run is RunFunc with an optional journal: when jr is set, each worker
+// appends a start record through its own buffered JournalWriter as it
+// picks a job up, keyed by the job's spec index keys[i] rather than its
+// position in jobs, and flushes the writer when it exits.
+func (e *Engine) run(ctx context.Context, jobs []Job, jr *Journal, keys []int, emit func(Result)) PoolStats {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -222,11 +210,8 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 	bsp.AttrInt("workers", int64(workers))
 	defer bsp.End()
 	if len(jobs) == 0 {
-		return
+		return PoolStats{}
 	}
-
-	stopWatch := e.Watchdog.Watch()
-	defer stopWatch()
 
 	// The queue-depth gauge is driven exclusively through Add deltas on
 	// its own atomic: publishing pending.Add(-1) via Set would let two
@@ -256,11 +241,7 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 		go func(w int) {
 			defer wg.Done()
 			// Per-worker accounting: this goroutine is the only writer
-			// of stats[w]; RunFunc reads it after wg settles. Every
-			// channel operation is bracketed by time.Now so the worker's
-			// wall time tiles into idle (waiting for work), busy (inside
-			// runJob) and stall (reorder backpressure) — the final
-			// blocked receive that observes close counts as idle.
+			// of stats[w]; run reads it after wg settles.
 			ws := &stats[w]
 			ws.Worker = w
 			wctx := withWorkerStats(bctx, ws)
@@ -269,17 +250,14 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 			// of allocating 2n floats twice per job, and since a worker
 			// runs one job at a time the reuse is race-free.
 			wctx = moments.WithArena(wctx, new(moments.Arena))
-			if e.OnWorker != nil {
-				ctx2, cleanup := e.OnWorker(wctx, w)
-				if ctx2 != nil {
-					wctx = ctx2
+			// Start records buffer in a private writer, so workers never
+			// convoy on the journal lock per job (nil without a journal).
+			jw := jr.Writer()
+			defer func() {
+				if err := jw.Flush(); err != nil {
+					health.Note(health.Event{Check: "batch.journal_error", Detail: err.Error()})
 				}
-				if cleanup != nil {
-					defer cleanup()
-				}
-			}
-			wallStart := time.Now()
-			defer func() { ws.WallNS = time.Since(wallStart).Nanoseconds() }()
+			}()
 			// Lineage is minted unconditionally (an atomic increment plus
 			// integer mixing — free) but attached to the context only when
 			// something can observe it: a tracer, the flight recorder, or
@@ -287,10 +265,21 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 			// stays inside the per-job allocation budget.
 			obsCtx := telemetry.TracerFrom(wctx) != nil ||
 				telemetry.FlightEnabled() || e.Report.captureSpans(wctx)
+			// One timestamp chains through every transition, so idle
+			// (waiting for work, including the final receive that sees
+			// close), busy (job pickup and runJob) and stall (reorder
+			// backpressure) tile the worker's wall time with no gaps.
+			start := time.Now()
+			last := start
+			lap := func(bucket *int64) {
+				now := time.Now()
+				*bucket += now.Sub(last).Nanoseconds()
+				last = now
+			}
+			defer func() { ws.WallNS = last.Sub(start).Nanoseconds() }()
 			for {
-				t0 := time.Now()
 				i, ok := <-idxCh
-				ws.IdleNS += time.Since(t0).Nanoseconds()
+				lap(&ws.IdleNS)
 				if !ok {
 					return
 				}
@@ -304,16 +293,16 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 				if obsCtx {
 					jctx = telemetry.WithTraceContext(wctx, tr)
 				}
-				if e.OnStart != nil {
-					e.OnStart(jctx, i, jobs[i].ID, tr)
+				if jw != nil {
+					if err := jw.Start(keys[i], jobs[i].ID, tr.TraceID()); err != nil {
+						health.Note(health.Event{Check: "batch.journal_error", Detail: err.Error()})
+					}
 				}
-				t1 := time.Now()
 				r := e.runJob(jctx, w, i, jobs[i], tr)
-				ws.BusyNS += time.Since(t1).Nanoseconds()
+				lap(&ws.BusyNS)
 				ws.Jobs++
-				t2 := time.Now()
 				resCh <- r
-				ws.StallNS += time.Since(t2).Nanoseconds()
+				lap(&ws.StallNS)
 			}
 		}(w)
 	}
@@ -400,12 +389,10 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 	if rr != nil {
 		rr.stats = &rs
 	}
-	if e.OnStats != nil {
-		e.OnStats(rs)
-	}
+	return rs
 }
 
-// jobLabel names one job for watchdog and health reporting.
+// jobLabel names one job for health reporting.
 func jobLabel(idx int, id string) string {
 	if id != "" {
 		return id
@@ -600,20 +587,16 @@ type payload struct {
 }
 
 // attemptOnce executes one attempt of a job under the per-attempt
-// timeout and watchdog, converting panics into *resilience.PanicError
-// so the retry loop can classify them. tree memoizes Net/Tran net
-// resolution across attempts.
+// timeout, converting panics into *resilience.PanicError so the retry
+// loop can classify them. tree memoizes Net/Tran net resolution across
+// attempts.
 func (e *Engine) attemptOnce(ctx context.Context, idx int, j Job, tree **rctree.Tree) (pl payload, hit bool, err error) {
 	actx := ctx
-	cancel := context.CancelFunc(func() {})
 	if e.Timeout > 0 {
+		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, e.Timeout)
-	} else if e.Watchdog != nil && e.Watchdog.CancelStuck {
-		actx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-	unregister := e.Watchdog.Register(jobLabel(idx, j.ID), cancel)
-	defer unregister()
 	defer func() {
 		if p := recover(); p != nil {
 			pl = payload{}
@@ -681,7 +664,7 @@ func (e *Engine) runNet(ctx context.Context, nj *NetJob, tree *rctree.Tree) (*Ne
 		err error
 	)
 	if e.Cache != nil {
-		ms, hit, err = e.Cache.MomentsCtx(ctx, tree, 3)
+		ms, hit, err = e.Cache.Moments(ctx, tree, 3)
 		if err != nil {
 			return nil, false, err
 		}
@@ -744,7 +727,7 @@ func (e *Engine) runPath(ctx context.Context, pj *PathJob) (*sta.PathResult, boo
 		// The source runs synchronously inside this job, so the hit
 		// flag needs no synchronization.
 		src = func(ctx context.Context, t *rctree.Tree, order int) (*moments.Set, error) {
-			ms, h, err := e.Cache.MomentsCtx(ctx, t, order)
+			ms, h, err := e.Cache.Moments(ctx, t, order)
 			if h {
 				hit = true
 			}

@@ -222,11 +222,11 @@ func TestCacheReusesMomentSets(t *testing.T) {
 func TestCacheMomentsDirect(t *testing.T) {
 	tree := chainNet(t, 8)
 	cache := NewCache()
-	ms1, hit1, err := cache.Moments(tree, 2)
+	ms1, hit1, err := cache.Moments(context.Background(), tree, 2)
 	if err != nil || hit1 {
 		t.Fatalf("first lookup: hit=%v err=%v", hit1, err)
 	}
-	ms2, hit2, err := cache.Moments(tree.Clone(), 3)
+	ms2, hit2, err := cache.Moments(context.Background(), tree.Clone(), 3)
 	if err != nil || !hit2 {
 		t.Fatalf("second lookup: hit=%v err=%v", hit2, err)
 	}
@@ -237,7 +237,7 @@ func TestCacheMomentsDirect(t *testing.T) {
 		t.Errorf("cached order = %d, want 3", ms1.Order())
 	}
 	// Above the cached order: fresh, uncached, correct set.
-	ms4, hit4, err := cache.Moments(tree, 4)
+	ms4, hit4, err := cache.Moments(context.Background(), tree, 4)
 	if err != nil || hit4 {
 		t.Fatalf("order-4 lookup: hit=%v err=%v", hit4, err)
 	}
@@ -351,7 +351,7 @@ func TestReadSpecsAndMaterialize(t *testing.T) {
 	}
 	jobs := make([]Job, len(specs))
 	for i, s := range specs {
-		jobs[i] = s.Job(lib, 25e-12)
+		jobs[i] = s.Job(lib, 25e-12, nil)
 	}
 	res := (&Engine{Workers: 4, Cache: NewCache()}).Run(context.Background(), jobs)
 	byID := map[string]Result{}
@@ -395,7 +395,7 @@ func TestReadSpecsRejectsMalformedLines(t *testing.T) {
 func TestCacheMutationNoStaleEntries(t *testing.T) {
 	tree := chainNet(t, 12)
 	cache := NewCache()
-	ms1, hit, err := cache.Moments(tree, 3)
+	ms1, hit, err := cache.Moments(context.Background(), tree, 3)
 	if err != nil || hit {
 		t.Fatalf("first lookup: hit=%v err=%v", hit, err)
 	}
@@ -408,7 +408,7 @@ func TestCacheMutationNoStaleEntries(t *testing.T) {
 	if fp2 := tree.Fingerprint(); fp2 == fp1 {
 		t.Fatalf("SetR did not change the fingerprint")
 	}
-	ms2, hit, err := cache.Moments(tree, 3)
+	ms2, hit, err := cache.Moments(context.Background(), tree, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestCacheMutationNoStaleEntries(t *testing.T) {
 	// A clone still carrying the ORIGINAL values must hit the original
 	// entry, not the mutated one.
 	orig := chainNet(t, 12)
-	ms3, hit, err := cache.Moments(orig, 3)
+	ms3, hit, err := cache.Moments(context.Background(), orig, 3)
 	if err != nil || !hit {
 		t.Fatalf("original-value tree should hit: hit=%v err=%v", hit, err)
 	}
@@ -441,7 +441,7 @@ func TestCacheMutationNoStaleEntries(t *testing.T) {
 	if err := tree.ScaleValues(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, hit, err = cache.Moments(tree, 3)
+	_, hit, err = cache.Moments(context.Background(), tree, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

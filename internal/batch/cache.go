@@ -369,16 +369,19 @@ func runOnce(ws *WorkerStats, o *sync.Once, f func(), hits, misses string) bool 
 // Moments returns the moment set for the circuit t describes, computing
 // it on first use; hit reports whether another call computed it.
 // Requests above the cached order compute a fresh uncached set rather
-// than poisoning shared entries.
-func (c *Cache) Moments(t *rctree.Tree, order int) (*moments.Set, bool, error) {
-	return c.moments(nil, nil, t, order)
+// than poisoning shared entries. When ctx comes from a batch worker,
+// lock wait and the hit/miss land in that worker's stats and the
+// compute draws its sweep buffers from the worker's scratch arena.
+func (c *Cache) Moments(ctx context.Context, t *rctree.Tree, order int) (*moments.Set, bool, error) {
+	return c.moments(workerStatsFrom(ctx), moments.ArenaFrom(ctx), t, order)
 }
 
-// MomentsCtx is Moments with worker attribution: lock wait and the
-// hit/miss land in the stats of the batch worker ctx carries, and the
-// compute draws its sweep buffers from the worker's scratch arena.
+// MomentsCtx is Moments under its earlier name, kept for the perfbench
+// harness, a separate module that calls it.
+//
+// Deprecated: use Moments.
 func (c *Cache) MomentsCtx(ctx context.Context, t *rctree.Tree, order int) (*moments.Set, bool, error) {
-	return c.moments(workerStatsFrom(ctx), moments.ArenaFrom(ctx), t, order)
+	return c.Moments(ctx, t, order)
 }
 
 func (c *Cache) moments(ws *WorkerStats, ar *moments.Arena, t *rctree.Tree, order int) (*moments.Set, bool, error) {
@@ -413,13 +416,9 @@ func (c *Cache) moments(ws *WorkerStats, ar *moments.Arena, t *rctree.Tree, orde
 // under the given fixed step and method, building it (compile + stamp +
 // factor) on first use; hit reports whether another call built it.
 // Plans are immutable and shared: each worker must take its own
-// sim.Runner from the returned plan.
-func (c *Cache) Plan(t *rctree.Tree, dt float64, method sim.Method) (*sim.Plan, bool, error) {
-	return c.plan(nil, t, dt, method)
-}
-
-// PlanCtx is Plan with the same contention attribution as MomentsCtx.
-func (c *Cache) PlanCtx(ctx context.Context, t *rctree.Tree, dt float64, method sim.Method) (*sim.Plan, bool, error) {
+// sim.Runner from the returned plan. Contention is attributed as in
+// Moments.
+func (c *Cache) Plan(ctx context.Context, t *rctree.Tree, dt float64, method sim.Method) (*sim.Plan, bool, error) {
 	return c.plan(workerStatsFrom(ctx), t, dt, method)
 }
 

@@ -34,7 +34,7 @@ func flood(c *Cache, first, k int) error {
 		if err != nil {
 			return err
 		}
-		if _, _, err := c.Moments(tree, 3); err != nil {
+		if _, _, err := c.Moments(context.Background(), tree, 3); err != nil {
 			return err
 		}
 	}
@@ -54,11 +54,11 @@ func TestCacheBudgetBoundsStripesAndSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Moments(tree, 3); err != nil {
+		if _, _, err := c.Moments(context.Background(), tree, 3); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if _, _, err := c.Plan(tree, 1e-12, sim.BackwardEuler); err != nil {
+			if _, _, err := c.Plan(context.Background(), tree, 1e-12, sim.BackwardEuler); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,7 +128,7 @@ func TestCacheEvictionKeepsHeldResult(t *testing.T) {
 	}
 	run := func(e *Engine, load TreeLoader) []byte {
 		var out bytes.Buffer
-		st, err := RunSpecsOpts(context.Background(), e, nil, &out, SpecRunOptions{Specs: specs, Loader: load})
+		st, err := RunSpecs(context.Background(), e, specs, &out, SpecRunOptions{Loader: load})
 		if err != nil || st.Failed != 0 {
 			t.Fatalf("run: %v, %d failed", err, st.Failed)
 		}
@@ -158,18 +158,18 @@ func TestCacheEvictionKeepsHeldResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, _, err := c.Moments(tree, 3)
+	ms, _, err := c.Moments(context.Background(), tree, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := c.Plan(tree, 1e-12, sim.Trapezoidal)
+	plan, _, err := c.Plan(context.Background(), tree, 1e-12, sim.Trapezoidal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := flood(c, 9000, 40); err != nil {
 		t.Fatal(err)
 	}
-	if again, hit, _ := c.Moments(tree, 3); hit || again == ms {
+	if again, hit, _ := c.Moments(context.Background(), tree, 3); hit || again == ms {
 		t.Fatal("entry still resident after the flood; the test evicted nothing")
 	}
 	held, err := core.AnalyzeWithMoments(context.Background(), tree, ms)
@@ -225,12 +225,12 @@ func TestCacheLoaderChurnUnderRace(t *testing.T) {
 					t.Errorf("deck %d loaded another deck's tree", i)
 					return
 				}
-				if _, _, err := c.Moments(tree, 3); err != nil {
+				if _, _, err := c.Moments(context.Background(), tree, 3); err != nil {
 					t.Error(err)
 					return
 				}
 				if k%4 == 0 {
-					if _, _, err := c.Plan(tree, 1e-12, sim.BackwardEuler); err != nil {
+					if _, _, err := c.Plan(context.Background(), tree, 1e-12, sim.BackwardEuler); err != nil {
 						t.Error(err)
 						return
 					}

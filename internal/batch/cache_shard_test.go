@@ -8,6 +8,7 @@ package batch
 // without it too.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -37,14 +38,14 @@ func forceShards(t *testing.T, c *Cache, n int) {
 func TestCacheZeroValueUsable(t *testing.T) {
 	var c Cache
 	tree := chainNet(t, 8)
-	ms, hit, err := c.Moments(tree, 3)
+	ms, hit, err := c.Moments(context.Background(), tree, 3)
 	if err != nil {
 		t.Fatalf("zero-value Moments: %v", err)
 	}
 	if ms == nil || hit {
 		t.Errorf("zero-value Moments: set=%v hit=%v, want a computed miss", ms, hit)
 	}
-	plan, hit, err := c.Plan(tree, 1e-12, sim.BackwardEuler)
+	plan, hit, err := c.Plan(context.Background(), tree, 1e-12, sim.BackwardEuler)
 	if err != nil {
 		t.Fatalf("zero-value Plan: %v", err)
 	}
@@ -68,10 +69,10 @@ func TestCacheSpreadsAcrossShards(t *testing.T) {
 	const nets = 32
 	for i := 0; i < nets; i++ {
 		tree := chainNet(t, 3+i)
-		if _, _, err := c.Moments(tree, 3); err != nil {
+		if _, _, err := c.Moments(context.Background(), tree, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Plan(tree, 1e-12, sim.BackwardEuler); err != nil {
+		if _, _, err := c.Plan(context.Background(), tree, 1e-12, sim.BackwardEuler); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +190,7 @@ func TestCacheTransientEvictionUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, errs[g] = c.Moments(base.Clone(), 3)
+			_, _, errs[g] = c.Moments(context.Background(), base.Clone(), 3)
 		}()
 	}
 	wg.Wait()
@@ -202,7 +203,7 @@ func TestCacheTransientEvictionUnderRace(t *testing.T) {
 		t.Errorf("cache holds %d entries after a transient failure, want 0 (error pinned)", c.Len())
 	}
 	faultinject.SetDefault(nil)
-	if _, _, err := c.Moments(base.Clone(), 3); err != nil {
+	if _, _, err := c.Moments(context.Background(), base.Clone(), 3); err != nil {
 		t.Errorf("post-fault recompute failed: %v", err)
 	}
 	if c.Len() != 1 {
@@ -227,14 +228,14 @@ func TestEvictNeverRemovesNewerEntry(t *testing.T) {
 	}
 	// A newer entry replaces the evicted one; the stale evictor fires
 	// again (as a slow goroutine would) and must be a no-op.
-	if _, _, err := c.Moments(tree, 3); err != nil {
+	if _, _, err := c.Moments(context.Background(), tree, 3); err != nil {
 		t.Fatal(err)
 	}
 	c.evict(stale)
 	if c.Len() != 1 {
 		t.Errorf("stale eviction removed the replacement moment entry")
 	}
-	ms, hit, err := c.Moments(tree, 3)
+	ms, hit, err := c.Moments(context.Background(), tree, 3)
 	if err != nil || !hit || ms == nil {
 		t.Errorf("replacement entry unusable after stale eviction: hit=%v err=%v", hit, err)
 	}

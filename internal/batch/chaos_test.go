@@ -91,8 +91,7 @@ func TestChaosBatchUnderFaults(t *testing.T) {
 			MaxDelay:    time.Millisecond,
 			RetryPanics: true,
 		},
-		Breaker:  &resilience.Breaker{Threshold: 25, Cooldown: time.Millisecond},
-		Watchdog: &resilience.Watchdog{Threshold: 30 * time.Second},
+		Breaker: &resilience.Breaker{Threshold: 25, Cooldown: time.Millisecond},
 	}
 	var results []Result
 	e.RunFunc(context.Background(), jobs, func(r Result) { results = append(results, r) })

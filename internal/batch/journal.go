@@ -2,7 +2,6 @@ package batch
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,7 +33,8 @@ import (
 // mid-append) is tolerated on replay; torn interior lines are not, as
 // they indicate corruption rather than an interrupted append.
 //
-// A Journal is safe for concurrent use by the engine's workers.
+// Records reach the file through JournalWriters, one per goroutine; a
+// Journal is safe for concurrent use by the writers of one run.
 type Journal struct {
 	// SyncEvery is the number of done records between fsyncs; <= 0
 	// means 32.
@@ -144,52 +144,14 @@ func readReplay(r io.Reader) (*Replay, error) {
 	}
 }
 
-// append writes one record; sync forces the fsync batching to count it.
-func (j *Journal) append(op, key, trace string, countSync bool) error {
-	if j == nil {
-		return nil
-	}
-	if err := faultinject.Fire("batch.journal"); err != nil {
-		return fmt.Errorf("batch: journal: %w", err)
-	}
-	b, err := json.Marshal(journalRecord{Op: op, Key: key, Trace: trace})
-	if err != nil {
-		return fmt.Errorf("batch: journal: %w", err)
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.w.Write(b); err != nil {
-		return fmt.Errorf("batch: journal: %w", err)
-	}
-	if countSync {
-		j.pending++
-		if j.pending >= j.syncEvery() {
-			return j.syncLocked()
-		}
-	}
-	return nil
-}
-
-// Start records that the job was picked up by a worker; trace is the
-// job's lineage ID ("" when observability is off).
-func (j *Journal) Start(index int, id, trace string) error {
-	return j.append("start", JobKey(index, id), trace, false)
-}
-
-// Done records that the job's result was emitted. Every SyncEvery done
-// records the journal is flushed and fsynced.
-func (j *Journal) Done(index int, id string) error {
-	return j.append("done", JobKey(index, id), "", true)
-}
-
-// Writer returns a private buffered appender onto the journal. Each
-// batch worker holds its own Writer: records accumulate in a local
-// buffer with no locking at all, and the shared file lock is taken
-// once per flush — a batch boundary — instead of once per record, so
-// journal durability stops serializing the workers and the result
-// emitter. A nil journal returns a nil writer, whose methods are all
-// no-ops, mirroring the nil-*Journal contract.
+// Writer returns a private buffered appender onto the journal, the only
+// way records are appended. Each batch worker holds its own Writer:
+// records accumulate in a local buffer with no locking at all, and the
+// shared file lock is taken once per flush — a batch boundary —
+// instead of once per record, so journal durability stops serializing
+// the workers and the result emitter. A nil journal returns a nil
+// writer, whose methods are all no-ops, mirroring the nil-*Journal
+// contract.
 //
 // Durability window: start records are advisory (a lost start replays
 // exactly like a never-started job — re-queued), so buffering them
@@ -214,14 +176,14 @@ type JournalWriter struct {
 }
 
 // append buffers one record, flushing when a batch has accumulated.
-func (w *JournalWriter) append(op, key, trace string, done bool) error {
+func (w *JournalWriter) append(op string, index int, id, trace string, done bool) error {
 	if w == nil {
 		return nil
 	}
 	if err := faultinject.Fire("batch.journal"); err != nil {
 		return fmt.Errorf("batch: journal: %w", err)
 	}
-	b, err := json.Marshal(journalRecord{Op: op, Key: key, Trace: trace})
+	b, err := json.Marshal(journalRecord{Op: op, Key: JobKey(index, id), Trace: trace})
 	if err != nil {
 		return fmt.Errorf("batch: journal: %w", err)
 	}
@@ -240,7 +202,7 @@ func (w *JournalWriter) append(op, key, trace string, done bool) error {
 // Start buffers a record that the job was picked up by a worker;
 // trace is the job's lineage ID ("" when observability is off).
 func (w *JournalWriter) Start(index int, id, trace string) error {
-	return w.append("start", JobKey(index, id), trace, false)
+	return w.append("start", index, id, trace, false)
 }
 
 // Done buffers a record that the job's result was emitted. The caller
@@ -248,7 +210,7 @@ func (w *JournalWriter) Start(index int, id, trace string) error {
 // write ordering only deepens under buffering (the done record reaches
 // the file later, never earlier).
 func (w *JournalWriter) Done(index int, id string) error {
-	return w.append("done", JobKey(index, id), "", true)
+	return w.append("done", index, id, "", true)
 }
 
 // Flush hands the buffered records to the journal under one lock
@@ -272,21 +234,6 @@ func (w *JournalWriter) Flush() error {
 		return w.j.syncLocked()
 	}
 	return nil
-}
-
-// journalWriterKey carries a worker's *JournalWriter through the
-// worker context, the same pattern WorkerStats rides.
-type journalWriterKey struct{}
-
-func withJournalWriter(ctx context.Context, w *JournalWriter) context.Context {
-	return context.WithValue(ctx, journalWriterKey{}, w)
-}
-
-// journalWriterFrom returns the writer carried by ctx, or nil (whose
-// methods are no-ops) when the context has none.
-func journalWriterFrom(ctx context.Context) *JournalWriter {
-	w, _ := ctx.Value(journalWriterKey{}).(*JournalWriter)
-	return w
 }
 
 // syncEvery returns the effective fsync batch size.

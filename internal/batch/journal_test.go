@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"elmore/internal/telemetry"
+	"elmore/internal/rctree"
 )
 
 func openJournal(t *testing.T, path string) (*Journal, *Replay) {
@@ -30,13 +30,17 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(rp.Done) != 0 || len(rp.Started) != 0 {
 		t.Fatalf("fresh journal replayed state: %+v", rp)
 	}
-	if err := jr.Start(0, "a", ""); err != nil {
+	w := jr.Writer()
+	if err := w.Start(0, "a", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Start(1, "b", ""); err != nil {
+	if err := w.Start(1, "b", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Done(0, "a"); err != nil {
+	if err := w.Done(0, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Close(); err != nil {
@@ -51,7 +55,11 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Errorf("Started = %v, want exactly {1:b} (done keys must leave Started)", rp2.Started)
 	}
 	// The reopened journal appends, never truncates.
-	if err := jr2.Done(1, "b"); err != nil {
+	w2 := jr2.Writer()
+	if err := w2.Done(1, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr2.Close(); err != nil {
@@ -125,14 +133,15 @@ func TestJournalSyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	jr, _ := openJournal(t, path)
 	jr.SyncEvery = 2
-	if err := jr.Done(0, "a"); err != nil {
+	w := jr.Writer()
+	if err := w.Done(0, "a"); err != nil {
 		t.Fatal(err)
 	}
 	// One done record is below the batch size: still buffered.
 	if b, err := os.ReadFile(path); err != nil || len(b) != 0 {
 		t.Errorf("journal flushed before the batch filled: %q err=%v", b, err)
 	}
-	if err := jr.Done(1, "b"); err != nil {
+	if err := w.Done(1, "b"); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -149,11 +158,8 @@ func TestJournalSyncBatching(t *testing.T) {
 
 func TestJournalNilSafe(t *testing.T) {
 	var jr *Journal
-	if err := jr.Start(0, "a", ""); err != nil {
-		t.Errorf("nil Start: %v", err)
-	}
-	if err := jr.Done(0, "a"); err != nil {
-		t.Errorf("nil Done: %v", err)
+	if w := jr.Writer(); w != nil {
+		t.Errorf("nil journal handed out writer %v", w)
 	}
 	if err := jr.Sync(); err != nil {
 		t.Errorf("nil Sync: %v", err)
@@ -181,7 +187,8 @@ func decodeRecords(t *testing.T, b []byte) []ResultRecord {
 }
 
 // TestRunSpecsJournalResumeExactlyOnce is the kill-and-restart
-// integration test: run one, interrupted mid-batch, emits a prefix and
+// integration test: run one, interrupted mid-batch (its loader cancels
+// the batch context once a dozen jobs have started), emits a prefix and
 // journals it; run two resumes from the journal, skips the done jobs,
 // re-queues the in-flight ones, and finishes the rest; across the
 // concatenated outputs every job appears exactly once. A third run
@@ -204,14 +211,16 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var started atomic.Int32
-	eng := &Engine{Workers: 4, OnStart: func(context.Context, int, string, telemetry.TraceContext) {
-		if started.Add(1) == 12 {
+	var loads atomic.Int32
+	counting := func(net, netlist string) (*rctree.Tree, error) {
+		if loads.Add(1) == 12 {
 			cancel()
 		}
-	}}
+		return DefaultTreeLoader(net, netlist)
+	}
 	var out1 bytes.Buffer
-	st1, err := RunSpecsJournal(ctx, eng, strings.NewReader(stream), lib, 25e-12, &out1, jr1, rp1)
+	st1, err := runStream(ctx, &Engine{Workers: 4}, stream, &out1,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Loader: counting, Journal: jr1, Replay: rp1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
@@ -232,8 +241,8 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 		t.Errorf("journal replayed %d done jobs, want %d (one per emitted line)", len(rp2.Done), st1.Emitted)
 	}
 	var out2 bytes.Buffer
-	st2, err := RunSpecsJournal(context.Background(), &Engine{Workers: 4},
-		strings.NewReader(stream), lib, 25e-12, &out2, jr2, rp2)
+	st2, err := runStream(context.Background(), &Engine{Workers: 4}, stream, &out2,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr2, Replay: rp2})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -270,8 +279,8 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 	// Run 3: everything is done; nothing runs, nothing is emitted.
 	jr3, rp3 := openJournal(t, journalPath)
 	var out3 bytes.Buffer
-	st3, err := RunSpecsJournal(context.Background(), &Engine{Workers: 4},
-		strings.NewReader(stream), lib, 25e-12, &out3, jr3, rp3)
+	st3, err := runStream(context.Background(), &Engine{Workers: 4}, stream, &out3,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr3, Replay: rp3})
 	if err != nil {
 		t.Fatalf("third run: %v", err)
 	}
@@ -281,5 +290,81 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 	if st3.Skipped != n || st3.Emitted != 0 || out3.Len() != 0 {
 		t.Errorf("third run: skipped=%d emitted=%d out=%q, want all %d skipped",
 			st3.Skipped, st3.Emitted, out3.String(), n)
+	}
+}
+
+// TestJournalStartKeysAreSpecIndices: a resume submits only the jobs
+// its replay leaves, so a job's position in the engine's job slice is
+// not its position in the spec stream. Each dispatched job must get
+// exactly one start record keyed by its spec index — the key the next
+// replay looks it up by — never by the submitted index.
+func TestJournalStartKeysAreSpecIndices(t *testing.T) {
+	netPath, lib := writeSpecFiles(t)
+	const n, done = 10, 4
+	var specs []JobSpec
+	for i := 0; i < n; i++ {
+		specs = append(specs, JobSpec{ID: fmt.Sprintf("n%d", i), Net: netPath, Sinks: []string{"z"}})
+	}
+	path := filepath.Join(t.TempDir(), "resume.journal")
+	jr, _ := openJournal(t, path)
+	w := jr.Writer()
+	for i := 0; i < done; i++ {
+		if err := w.Start(i, specs[i].ID, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Done(i, specs[i].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	jr, rp := openJournal(t, path)
+	var out bytes.Buffer
+	st, err := RunSpecs(context.Background(), &Engine{Workers: 3}, specs, &out,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr, Replay: rp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped != done || st.Emitted != n-done {
+		t.Fatalf("skipped=%d emitted=%d, want %d/%d", st.Skipped, st.Emitted, done, n-done)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := make(map[string]int)
+	for _, line := range strings.Split(strings.TrimSpace(string(after[len(before):])), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Op == "start" {
+			starts[rec.Key]++
+		}
+	}
+	if len(starts) != n-done {
+		t.Errorf("resume wrote start records %v, want one for each of the %d dispatched jobs", starts, n-done)
+	}
+	for i := done; i < n; i++ {
+		if key := JobKey(i, specs[i].ID); starts[key] != 1 {
+			t.Errorf("start records for %s = %d, want exactly 1 (all starts: %v)", key, starts[key], starts)
+		}
+	}
+	for _, rec := range decodeRecords(t, out.Bytes()) {
+		if want := fmt.Sprintf("n%d", rec.Index); rec.ID != want {
+			t.Errorf("record index %d has id %q, want %q", rec.Index, rec.ID, want)
+		}
 	}
 }

@@ -68,8 +68,8 @@ func TestSpecLineageEndToEnd(t *testing.T) {
 	}
 	var out bytes.Buffer
 	eng := &Engine{Workers: 2, Cache: NewCache()}
-	if _, err := RunSpecsJournal(context.Background(), eng,
-		strings.NewReader(stream), lib, 25e-12, &out, jr, rp); err != nil {
+	if _, err := runStream(context.Background(), eng, stream, &out,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr, Replay: rp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Close(); err != nil {

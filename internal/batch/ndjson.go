@@ -8,20 +8,19 @@ import (
 
 	"elmore/internal/faultinject"
 	"elmore/internal/gate"
-	"elmore/internal/health"
 	"elmore/internal/resilience"
 	"elmore/internal/sta"
 	"elmore/internal/telemetry"
 )
 
-// ResultRecord is the NDJSON form of one Result, as streamed by the
-// -jobs mode of boundstat and sta: one JSON object per line, in job
-// order. Exactly one of Sinks, Path or Tran is present on success;
-// Error is set on failure (and all payloads are absent). A degraded
-// record is a success whose Sinks carry the paper's bound interval in
-// place of the failed simulation — degraded names the substitution
-// ("elmore-bound") and degraded_from the suppressed failure. All times
-// are seconds.
+// ResultRecord is the NDJSON form of one Result, as streamed by
+// RunSpecs (the -jobs mode of boundstat and sta, and elmored): one JSON
+// object per line, in job order. Exactly one of Sinks, Path or Tran is
+// present on success; Error is set on failure (and all payloads are
+// absent). A degraded record is a success whose Sinks carry the paper's
+// bound interval in place of the failed simulation — degraded names the
+// substitution ("elmore-bound") and degraded_from the suppressed
+// failure. All times are seconds.
 type ResultRecord struct {
 	Index        int          `json:"index"`
 	ID           string       `json:"id,omitempty"`
@@ -201,21 +200,9 @@ func WriteResult(w io.Writer, r Result) error {
 	return err
 }
 
-// RunSpecs is the -jobs entry point shared by the CLIs: it decodes the
-// NDJSON job stream from r, materializes the jobs (lib and defaultSlew
-// as in JobSpec.Job), evaluates them on the engine, and streams one
-// NDJSON result line per job to w, in job order. failed counts per-job
-// error records (the batch itself still completes: fail-soft); err is
-// reserved for an unreadable spec stream, a failing writer, or an
-// interrupted run (the batch context's error).
-func RunSpecs(ctx context.Context, e *Engine, r io.Reader, lib *gate.Library, defaultSlew float64, w io.Writer) (failed, total int, err error) {
-	st, err := RunSpecsJournal(ctx, e, r, lib, defaultSlew, w, nil, nil)
-	return st.Failed, st.Total, err
-}
-
-// RunStats summarizes one RunSpecsJournal invocation.
+// RunStats summarizes one RunSpecs invocation.
 type RunStats struct {
-	Total    int // spec lines decoded
+	Total    int // specs submitted
 	Emitted  int // result lines written this run
 	Failed   int // emitted error records
 	Degraded int // emitted degraded (elmore-bound) records
@@ -223,9 +210,9 @@ type RunStats struct {
 	Requeued int // jobs re-queued after being in flight at the crash
 }
 
-// SpecRunOptions parameterizes RunSpecsOpts beyond the positional
-// arguments of RunSpecsJournal. The zero value matches RunSpecsJournal's
-// behavior exactly.
+// SpecRunOptions parameterizes RunSpecs. The zero value runs every spec
+// without a library, journal or replay, loading nets through the
+// engine cache's Loader.
 type SpecRunOptions struct {
 	// Lib resolves path-job cells; nil is fine when no path jobs occur.
 	Lib *gate.Library
@@ -240,39 +227,27 @@ type SpecRunOptions struct {
 	// nil (no journaling / fresh start).
 	Journal *Journal
 	Replay  *Replay
-	// Specs, when non-nil, bypasses the reader entirely — the caller
-	// already decoded (and perhaps bounds-checked) the job stream.
-	Specs []JobSpec
 }
 
-// RunSpecsJournal is RunSpecs with crash-safe checkpointing: jobs the
-// replayed journal rp marks done are skipped (their results were
-// already emitted by the previous run), jobs it marks started are
-// re-queued, and every job this run completes is journaled to jr —
-// "start" when a worker picks it up, "done" only after its result line
-// reached w — so a kill-and-restart cycle emits every result exactly
-// once across the concatenated outputs. jr and rp may each be nil (no
-// journaling / fresh start). Jobs that ended with the batch context's
-// cancellation are neither emitted nor journaled: the next resume
-// re-queues them. The returned error reports an unreadable spec
-// stream, a failing writer or journal, or an interrupted run.
-func RunSpecsJournal(ctx context.Context, e *Engine, r io.Reader, lib *gate.Library, defaultSlew float64, w io.Writer, jr *Journal, rp *Replay) (RunStats, error) {
-	return RunSpecsOpts(ctx, e, r, w, SpecRunOptions{
-		Lib: lib, DefaultSlew: defaultSlew, Journal: jr, Replay: rp,
-	})
-}
-
-// RunSpecsOpts is the options form of RunSpecsJournal; see
-// SpecRunOptions for the extra knobs (injected tree loader, pre-decoded
-// specs). r is ignored when opts.Specs is non-nil.
-func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts SpecRunOptions) (RunStats, error) {
-	specs := opts.Specs
-	if specs == nil {
-		var err error
-		if specs, err = ReadSpecs(r); err != nil {
-			return RunStats{}, err
-		}
-	}
+// RunSpecs is the spec entry point shared by the CLIs' -jobs mode and
+// elmored: it materializes specs (see JobSpec.Job), evaluates them on
+// the engine, and streams one NDJSON result line per job to w, in spec
+// order, with each record's index naming its spec.
+//
+// With a journal the run is crash-safe: jobs the replay marks done are
+// skipped (their results were already emitted by the previous run),
+// jobs it marks started are re-queued, and every job this run completes
+// is journaled — "start" when a worker picks it up, "done" only after
+// its result line reached w — so a kill-and-restart cycle emits every
+// result exactly once across the concatenated outputs. Jobs that ended
+// with the batch context's cancellation are neither emitted nor
+// journaled: the next resume re-queues them.
+//
+// Per-job failures are error records counted in RunStats.Failed (the
+// batch itself still completes: fail-soft); the returned error reports
+// a failing writer or journal, or an interrupted run (the batch
+// context's error).
+func RunSpecs(ctx context.Context, e *Engine, specs []JobSpec, w io.Writer, opts SpecRunOptions) (RunStats, error) {
 	jr, rp := opts.Journal, opts.Replay
 	load := opts.Loader
 	if load == nil {
@@ -280,7 +255,7 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 	}
 	st := RunStats{Total: len(specs)}
 	jobs := make([]Job, 0, len(specs))
-	orig := make([]int, 0, len(specs)) // submitted index -> spec index
+	keys := make([]int, 0, len(specs)) // submitted index -> spec index
 	for i, s := range specs {
 		if rp != nil {
 			key := JobKey(i, s.ID)
@@ -292,61 +267,22 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 				st.Requeued++
 			}
 		}
-		jobs = append(jobs, s.JobLoader(opts.Lib, opts.DefaultSlew, load))
-		orig = append(orig, i)
+		jobs = append(jobs, s.Job(opts.Lib, opts.DefaultSlew, load))
+		keys = append(keys, i)
 	}
 	if st.Requeued > 0 {
 		telemetry.C("batch.resumed_jobs").Add(int64(st.Requeued))
 	}
 
-	// Shallow-copy the engine to chain the journal onto the worker
-	// hooks without mutating the caller's value. Start records flow
-	// through a per-worker buffered JournalWriter (attached to the
-	// worker context by OnWorker, flushed when the worker exits), so
-	// workers never convoy on the journal lock per job; done records
-	// flow through one buffered writer on the emit goroutine below.
-	eng := *e
-	if jr != nil {
-		prevWorker := eng.OnWorker
-		eng.OnWorker = func(ctx context.Context, w int) (context.Context, func()) {
-			var cleanup func()
-			if prevWorker != nil {
-				ctx2, prevCleanup := prevWorker(ctx, w)
-				if ctx2 != nil {
-					ctx = ctx2
-				}
-				cleanup = prevCleanup
-			}
-			jw := jr.Writer()
-			return withJournalWriter(ctx, jw), func() {
-				if jerr := jw.Flush(); jerr != nil {
-					health.Note(health.Event{Check: "batch.journal_error", Detail: jerr.Error()})
-				}
-				if cleanup != nil {
-					cleanup()
-				}
-			}
-		}
-		prev := eng.OnStart
-		eng.OnStart = func(ctx context.Context, idx int, id string, trace telemetry.TraceContext) {
-			if prev != nil {
-				prev(ctx, idx, id, trace)
-			}
-			if jerr := journalWriterFrom(ctx).Start(orig[idx], id, trace.TraceID()); jerr != nil {
-				health.Note(health.Event{Check: "batch.journal_error", Detail: jerr.Error()})
-			}
-		}
-	}
-
 	dw := jr.Writer() // buffered done records; emit goroutine only
 	var werr error
-	eng.RunFunc(ctx, jobs, func(res Result) {
+	e.run(ctx, jobs, jr, keys, func(res Result) {
 		if res.Err != nil && resilience.Classify(res.Err) == resilience.Canceled {
 			// Torn down, not failed: suppress the record so a resume
 			// re-runs the job instead of trusting a cancellation error.
 			return
 		}
-		res.Index = orig[res.Index]
+		res.Index = keys[res.Index]
 		if werr != nil {
 			return
 		}
@@ -360,27 +296,19 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		if res.Degraded != "" {
 			st.Degraded++
 		}
-		if jr != nil {
-			if jerr := dw.Done(res.Index, res.ID); jerr != nil {
-				werr = jerr
-			}
-		}
+		werr = dw.Done(res.Index, res.ID)
 	})
-	if jr != nil {
-		// Flush the emitter's buffered dones even when the run was cut
-		// short: every result line already written must have its done
-		// record on disk before Sync, or a resume would duplicate it.
-		if ferr := dw.Flush(); ferr != nil && werr == nil {
-			werr = ferr
-		}
+	// Flush the emitter's buffered dones even when the run was cut
+	// short: every result line already written must have its done
+	// record on disk before Sync, or a resume would duplicate it.
+	if ferr := dw.Flush(); ferr != nil && werr == nil {
+		werr = ferr
 	}
 	if werr != nil {
 		return st, werr
 	}
-	if jr != nil {
-		if err := jr.Sync(); err != nil {
-			return st, err
-		}
+	if err := jr.Sync(); err != nil {
+		return st, err
 	}
 	return st, ctx.Err()
 }

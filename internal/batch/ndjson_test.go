@@ -5,11 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
 )
+
+// runStream is the CLI -jobs path: decode the spec stream, then run it.
+func runStream(ctx context.Context, e *Engine, stream string, w io.Writer, opts SpecRunOptions) (RunStats, error) {
+	specs, err := ReadSpecs(strings.NewReader(stream))
+	if err != nil {
+		return RunStats{}, err
+	}
+	return RunSpecs(ctx, e, specs, w, opts)
+}
 
 func TestRunSpecsStreamsNDJSON(t *testing.T) {
 	netPath, lib := writeSpecFiles(t)
@@ -20,12 +30,12 @@ func TestRunSpecsStreamsNDJSON(t *testing.T) {
 	}, "\n")
 	var out bytes.Buffer
 	eng := &Engine{Workers: 4, Cache: NewCache()}
-	failed, total, err := RunSpecs(context.Background(), eng, strings.NewReader(stream), lib, 25e-12, &out)
+	st, err := runStream(context.Background(), eng, stream, &out, SpecRunOptions{Lib: lib, DefaultSlew: 25e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 3 || failed != 1 {
-		t.Fatalf("failed=%d total=%d, want 1/3", failed, total)
+	if st.Total != 3 || st.Failed != 1 {
+		t.Fatalf("failed=%d total=%d, want 1/3", st.Failed, st.Total)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 3 {
@@ -66,7 +76,7 @@ func TestRunSpecsStreamsNDJSON(t *testing.T) {
 func TestRunSpecsRejectsBadStream(t *testing.T) {
 	eng := &Engine{}
 	var out bytes.Buffer
-	_, _, err := RunSpecs(context.Background(), eng, strings.NewReader("{oops\n"), nil, 0, &out)
+	_, err := runStream(context.Background(), eng, "{oops\n", &out, SpecRunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("want a line-numbered error, got %v", err)
 	}

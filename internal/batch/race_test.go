@@ -31,7 +31,7 @@ func TestConcurrentCacheAccess(t *testing.T) {
 			defer wg.Done()
 			// Every goroutine looks up a clone, so pointer identity
 			// cannot accidentally serialize them.
-			ms, _, err := cache.Moments(base.Clone(), 3)
+			ms, _, err := cache.Moments(context.Background(), base.Clone(), 3)
 			if err != nil {
 				t.Error(err)
 				return

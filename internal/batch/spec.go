@@ -160,21 +160,15 @@ func parseDeck(net, src string) (*rctree.Tree, error) {
 	return deck.Tree, nil
 }
 
-// Job materializes a spec with the default filesystem loader. See
-// JobLoader.
-func (s JobSpec) Job(lib *gate.Library, defaultSlew float64) Job {
-	return s.JobLoader(lib, defaultSlew, nil)
-}
-
-// JobLoader materializes a spec. Spec-level problems (no kind, bad rise
-// or slew, unknown cell, missing library) come back as a pre-failed Job
-// — never a hard error — so one bad line costs one error record in the
+// Job materializes a spec. Spec-level problems (no kind, bad rise or
+// slew, unknown cell, missing library) come back as a pre-failed Job —
+// never a hard error — so one bad line costs one error record in the
 // batch output, in keeping with the engine's fail-soft policy. Netlists
 // are resolved lazily inside the worker for the same reason, through
 // load (nil means DefaultTreeLoader). defaultSlew is the path-job input
 // slew used when the spec leaves "slew" empty; lib may be nil when no
 // path jobs occur.
-func (s JobSpec) JobLoader(lib *gate.Library, defaultSlew float64, load TreeLoader) Job {
+func (s JobSpec) Job(lib *gate.Library, defaultSlew float64, load TreeLoader) Job {
 	if load == nil {
 		load = DefaultTreeLoader
 	}

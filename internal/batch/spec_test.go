@@ -13,7 +13,7 @@ import (
 // instead of naming a file on a shared filesystem.
 
 func TestJobSpecInlineNetlist(t *testing.T) {
-	j := JobSpec{ID: "inline", Netlist: specNet, Sinks: []string{"z"}}.Job(nil, 0)
+	j := JobSpec{ID: "inline", Netlist: specNet, Sinks: []string{"z"}}.Job(nil, 0, nil)
 	if j.Err != nil {
 		t.Fatalf("inline spec pre-failed: %v", j.Err)
 	}
@@ -27,7 +27,7 @@ func TestJobSpecInlineNetlist(t *testing.T) {
 }
 
 func TestJobSpecInlineNetlistMalformed(t *testing.T) {
-	j := JobSpec{ID: "bad", Netlist: "R1 in\n"}.Job(nil, 0)
+	j := JobSpec{ID: "bad", Netlist: "R1 in\n"}.Job(nil, 0, nil)
 	res := (&Engine{Workers: 1}).Run(context.Background(), []Job{j})
 	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "inline netlist") {
 		t.Fatalf("malformed inline deck should fail soft with context, got %v", res[0].Err)
@@ -35,7 +35,7 @@ func TestJobSpecInlineNetlistMalformed(t *testing.T) {
 }
 
 func TestJobSpecRejectsNetAndNetlist(t *testing.T) {
-	j := JobSpec{ID: "both", Net: "a.sp", Netlist: specNet}.Job(nil, 0)
+	j := JobSpec{ID: "both", Net: "a.sp", Netlist: specNet}.Job(nil, 0, nil)
 	if j.Err == nil || !strings.Contains(j.Err.Error(), "both net and netlist") {
 		t.Fatalf("net+netlist should pre-fail, got %v", j.Err)
 	}
@@ -43,7 +43,7 @@ func TestJobSpecRejectsNetAndNetlist(t *testing.T) {
 		{Cell: "inv", Net: "a.sp", Netlist: specNet, Sink: "z"},
 	}}
 	_, lib := writeSpecFiles(t)
-	if j := p.Job(lib, 25e-12); j.Err == nil || !strings.Contains(j.Err.Error(), "both net and netlist") {
+	if j := p.Job(lib, 25e-12, nil); j.Err == nil || !strings.Contains(j.Err.Error(), "both net and netlist") {
 		t.Fatalf("stage net+netlist should pre-fail, got %v", j.Err)
 	}
 }
@@ -52,7 +52,7 @@ func TestJobSpecInlinePathStage(t *testing.T) {
 	_, lib := writeSpecFiles(t)
 	j := JobSpec{ID: "p", Slew: "30p", Stages: []StageSpec{
 		{Cell: "inv", Netlist: specNet, Sink: "z"},
-	}}.Job(lib, 25e-12)
+	}}.Job(lib, 25e-12, nil)
 	if j.Err != nil {
 		t.Fatalf("inline path spec pre-failed: %v", j.Err)
 	}
@@ -62,7 +62,7 @@ func TestJobSpecInlinePathStage(t *testing.T) {
 	}
 }
 
-func TestJobLoaderInjectsTreeLoader(t *testing.T) {
+func TestJobInjectsTreeLoader(t *testing.T) {
 	tree := chainNet(t, 4)
 	calls := 0
 	loader := func(net, netlist string) (*rctree.Tree, error) {
@@ -72,7 +72,7 @@ func TestJobLoaderInjectsTreeLoader(t *testing.T) {
 		}
 		return tree, nil
 	}
-	j := JobSpec{ID: "v", Net: "virtual://n1"}.JobLoader(nil, 0, loader)
+	j := JobSpec{ID: "v", Net: "virtual://n1"}.Job(nil, 0, loader)
 	res := (&Engine{Workers: 1}).Run(context.Background(), []Job{j})
 	if res[0].Err != nil {
 		t.Fatalf("injected-loader job failed: %v", res[0].Err)

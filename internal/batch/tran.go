@@ -66,7 +66,7 @@ func (e *Engine) runTran(ctx context.Context, tj *TranJob, tree *rctree.Tree) (*
 		err  error
 	)
 	if e.Cache != nil {
-		plan, hit, err = e.Cache.PlanCtx(ctx, tree, tj.DT, tj.Method)
+		plan, hit, err = e.Cache.Plan(ctx, tree, tj.DT, tj.Method)
 	} else {
 		plan, err = sim.NewPlan(tree, sim.PlanOptions{DT: tj.DT, Method: tj.Method})
 	}

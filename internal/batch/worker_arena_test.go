@@ -1,105 +1,45 @@
 package batch
 
 // Tests for the per-worker plumbing the scaling fix added to the
-// worker loop: the context-carried scratch arena, the OnWorker
-// decorate/cleanup hook, and the steady-state allocation budget of a
-// cache-warm net job.
+// worker loop: the context-carried scratch arena and the steady-state
+// allocation budget of a cache-warm net job.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
+	"elmore/internal/core"
 	"elmore/internal/health"
-	"elmore/internal/moments"
-	"elmore/internal/telemetry"
+	"elmore/internal/topo"
 )
 
 // TestWorkerOwnsDistinctArena asserts each worker goroutine gets its
-// own scratch arena in its context — sharing one across workers would
-// race the sweep buffers — and that OnWorker observes the context
-// after the arena is attached, so journal-style decorators can rely on
-// it being there.
+// own scratch arena: with no cache, every job's moment and PRH sweeps
+// draw from its worker's arena, so an arena shared across workers would
+// race (caught under -race) and corrupt the bounds. Four workers over
+// nets of different sizes must reproduce a plain sequential analysis
+// bit for bit.
 func TestWorkerOwnsDistinctArena(t *testing.T) {
-	const workers = 4
-	var mu sync.Mutex
-	arenas := make(map[*moments.Arena]int)
-	e := &Engine{
-		Workers: workers,
-		OnWorker: func(ctx context.Context, worker int) (context.Context, func()) {
-			ar := moments.ArenaFrom(ctx)
-			if ar == nil {
-				t.Errorf("worker %d: context carries no arena", worker)
-				return nil, nil
-			}
-			mu.Lock()
-			arenas[ar]++
-			mu.Unlock()
-			return nil, nil
-		},
+	var jobs []Job
+	var want []*core.Analysis
+	for i := 0; i < 64; i++ {
+		tree := topo.Random(int64(i)+1, topo.RandomOptions{N: 8 + i%23})
+		a, err := core.Analyze(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, netJob(fmt.Sprintf("j%d", i), tree))
+		want = append(want, a)
 	}
-	tree := chainNet(t, 8)
-	jobs := make([]Job, 64)
-	for i := range jobs {
-		jobs[i] = netJob(fmt.Sprintf("j%d", i), tree)
-	}
-	for _, r := range e.Run(context.Background(), jobs) {
+	for _, r := range (&Engine{Workers: 4}).Run(context.Background(), jobs) {
 		if r.Err != nil {
 			t.Fatalf("job %s: %v", r.ID, r.Err)
 		}
-	}
-	if len(arenas) != workers {
-		t.Errorf("%d workers share %d arenas, want one each", workers, len(arenas))
-	}
-	for ar, n := range arenas {
-		if n != 1 {
-			t.Errorf("arena %p handed to %d workers", ar, n)
-		}
-	}
-}
-
-// TestOnWorkerDecoratesAndCleansUp pins the hook contract: the
-// returned context replaces the worker's context for OnStart and every
-// job, and the returned cleanup runs exactly once per worker at exit.
-func TestOnWorkerDecoratesAndCleansUp(t *testing.T) {
-	type markKey struct{}
-	const workers = 3
-	var mu sync.Mutex
-	cleanups := make(map[int]int)
-	marked := 0
-	e := &Engine{
-		Workers: workers,
-		OnWorker: func(ctx context.Context, worker int) (context.Context, func()) {
-			return context.WithValue(ctx, markKey{}, worker), func() {
-				mu.Lock()
-				cleanups[worker]++
-				mu.Unlock()
+		for k, b := range r.Net.Analysis.Bounds {
+			if b != want[r.Index].Bounds[k] {
+				t.Fatalf("job %s node %d: bounds %+v, sequential %+v", r.ID, k, b, want[r.Index].Bounds[k])
 			}
-		},
-		OnStart: func(ctx context.Context, index int, id string, _ telemetry.TraceContext) {
-			if w, ok := ctx.Value(markKey{}).(int); ok && w >= 0 {
-				mu.Lock()
-				marked++
-				mu.Unlock()
-			}
-		},
-	}
-	tree := chainNet(t, 6)
-	jobs := make([]Job, 30)
-	for i := range jobs {
-		jobs[i] = netJob(fmt.Sprintf("j%d", i), tree)
-	}
-	e.Run(context.Background(), jobs)
-	if marked != len(jobs) {
-		t.Errorf("OnStart saw the decorated context for %d of %d jobs", marked, len(jobs))
-	}
-	if len(cleanups) != workers {
-		t.Errorf("cleanup ran for %d workers, want %d", len(cleanups), workers)
-	}
-	for w, n := range cleanups {
-		if n != 1 {
-			t.Errorf("worker %d cleanup ran %d times, want once", w, n)
 		}
 	}
 }

@@ -11,16 +11,18 @@ import (
 // Per-worker accounting. Each worker goroutine owns one WorkerStats for
 // the duration of a Run and is its only writer; RunFunc reads the slice
 // only after the worker WaitGroup settles, so the fields are plain
-// (non-atomic) and cost two time.Now calls per channel operation —
+// (non-atomic) and cost one time.Now call per bucket transition —
 // noise next to a job's moment pass.
 //
-// The time buckets tile a worker's wall time:
+// The time buckets tile a worker's wall time exactly, because one
+// timestamp chains through every transition:
 //
-//	WallNS ≈ IdleNS + BusyNS + StallNS
+//	WallNS = IdleNS + BusyNS + StallNS
 //
 //	IdleNS  — blocked receiving on the dispatch channel (no work ready),
 //	          including the final blocked receive that observes close.
-//	BusyNS  — inside runJob (compute, retries, degradation).
+//	BusyNS  — picking a job up (gauges, lineage, journal start record)
+//	          and running it (compute, retries, degradation).
 //	StallNS — blocked sending a finished Result (reorder-buffer
 //	          backpressure: the consumer is behind).
 //
@@ -31,7 +33,7 @@ import (
 type WorkerStats struct {
 	Worker      int   // worker index, 0-based
 	Jobs        int64 // jobs this worker completed
-	BusyNS      int64 // time inside runJob
+	BusyNS      int64 // time picking up and running jobs
 	IdleNS      int64 // time blocked waiting for work
 	StallNS     int64 // time blocked handing results to the reorder buffer
 	LockWaitNS  int64 // of BusyNS: time blocked on shared-cache locks
@@ -41,8 +43,8 @@ type WorkerStats struct {
 }
 
 // Accounted returns the fraction of wall time explained by the three
-// top-level buckets. Values near 1.0 mean the attribution is trustworthy;
-// the gap is loop overhead (gauge updates, OnStart hooks).
+// top-level buckets: 1.0 by construction for an engine run, so anything
+// less means the attribution itself is broken.
 func (ws WorkerStats) Accounted() float64 {
 	if ws.WallNS <= 0 {
 		return 0
@@ -61,8 +63,7 @@ func (ws WorkerStats) Utilization() float64 {
 
 // PoolStats is the whole-run accounting RunFunc assembles after the
 // workers exit: one WorkerStats per worker plus reorder-buffer pressure
-// figures. Delivered through Engine.OnStats and folded into the
-// Reporter summary.
+// figures. RunFunc returns it, and the Reporter summary folds it in.
 type PoolStats struct {
 	Jobs          int
 	Workers       int

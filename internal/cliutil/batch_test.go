@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"elmore/internal/resilience"
 )
 
 func TestBatchFlagsValidate(t *testing.T) {
@@ -19,13 +21,11 @@ func TestBatchFlagsValidate(t *testing.T) {
 		want string // "" means valid
 	}{
 		{"zero value", BatchFlags{}, ""},
-		{"all positive", BatchFlags{Workers: 4, Timeout: time.Second, Retries: 2,
-			RetryBackoff: time.Millisecond, Breaker: 8}, ""},
-		{"negative workers", BatchFlags{Workers: -1}, "-workers"},
-		{"negative timeout", BatchFlags{Timeout: -time.Second}, "-timeout"},
-		{"negative retries", BatchFlags{Retries: -3}, "-retries"},
-		{"negative backoff", BatchFlags{RetryBackoff: -time.Millisecond}, "-retry-backoff"},
-		{"negative breaker", BatchFlags{Breaker: -1}, "-breaker"},
+		{"all positive", BatchFlags{EngineFlags: EngineFlags{Workers: 4, Timeout: time.Second, Retries: 2, Breaker: 8}}, ""},
+		{"negative workers", BatchFlags{EngineFlags: EngineFlags{Workers: -1}}, "-workers"},
+		{"negative timeout", BatchFlags{EngineFlags: EngineFlags{Timeout: -time.Second}}, "-timeout"},
+		{"negative retries", BatchFlags{EngineFlags: EngineFlags{Retries: -3}}, "-retries"},
+		{"negative breaker", BatchFlags{EngineFlags: EngineFlags{Breaker: -1}}, "-breaker"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +49,6 @@ func TestBatchFlagParseRejectsGarbage(t *testing.T) {
 		{"-timeout", "30"}, // a bare number is not a duration
 		{"-workers", "many"},
 		{"-retries", "1.5"},
-		{"-retry-backoff", "x"},
 		{"-breaker", ""},
 	}
 	for _, args := range cases {
@@ -79,7 +78,7 @@ func TestRunBatchUnreadableJobs(t *testing.T) {
 func TestRunBatchValidatesBeforeOpening(t *testing.T) {
 	// The jobs path does not exist either — the error must still be the
 	// validation one, proving no I/O happens on invalid flags.
-	b := &BatchFlags{Jobs: filepath.Join(t.TempDir(), "missing.ndjson"), Workers: -2}
+	b := &BatchFlags{Jobs: filepath.Join(t.TempDir(), "missing.ndjson"), EngineFlags: EngineFlags{Workers: -2}}
 	err := b.RunBatch(context.Background(), nil, 0, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("RunBatch = %v, want the -workers validation error", err)
@@ -118,7 +117,7 @@ func TestRunBatchEndToEndWithResume(t *testing.T) {
 	}
 	journal := filepath.Join(dir, "resume.journal")
 
-	b := &BatchFlags{Jobs: jobsPath, Resume: journal, Retries: 2, RetryBackoff: time.Millisecond}
+	b := &BatchFlags{Jobs: jobsPath, Resume: journal, EngineFlags: EngineFlags{Retries: 2}}
 	var out, errOut strings.Builder
 	if err := b.RunBatch(context.Background(), nil, 0, &out, &errOut); err != nil {
 		t.Fatalf("RunBatch: %v (stderr: %s)", err, errOut.String())
@@ -167,17 +166,24 @@ func TestEngineBuildsResilienceLayer(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	eng := def.Engine(io.Discard)
+	eng := def.Engine()
 	if eng.Retry != nil || eng.Breaker != nil {
 		t.Errorf("default flags must not configure retry/breaker: %+v", eng)
 	}
 	if eng.NoDegrade {
 		t.Errorf("degradation must default on")
 	}
-	b := &BatchFlags{Retries: 3, RetryBackoff: 10 * time.Millisecond, Breaker: 5, Degrade: false}
-	eng = b.Engine(io.Discard)
-	if eng.Retry == nil || eng.Retry.MaxAttempts != 4 || eng.Retry.BaseDelay != 10*time.Millisecond {
+	if eng.Cache == nil {
+		t.Errorf("the default engine must share a cache across jobs")
+	}
+	b := &BatchFlags{EngineFlags: EngineFlags{Retries: 3, Breaker: 5, Degrade: false}}
+	eng = b.Engine()
+	if eng.Retry == nil || eng.Retry.MaxAttempts != 4 {
 		t.Errorf("retry policy not built from flags: %+v", eng.Retry)
+	}
+	if def := resilience.DefaultPolicy(); eng.Retry.BaseDelay != def.BaseDelay || eng.Retry.MaxDelay != def.MaxDelay {
+		t.Errorf("retry backoff %v..%v, want resilience.DefaultPolicy's %v..%v",
+			eng.Retry.BaseDelay, eng.Retry.MaxDelay, def.BaseDelay, def.MaxDelay)
 	}
 	if !eng.Retry.RetryPanics {
 		t.Errorf("CLI retry policy must retry injected panics")

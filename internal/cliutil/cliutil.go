@@ -93,23 +93,86 @@ func Add(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// EngineFlags holds the batch-engine flags every host shares: boundstat
+// and sta register them through AddBatch, elmored through AddEngine.
+type EngineFlags struct {
+	Workers int           // -workers: max concurrent jobs; 0 means GOMAXPROCS
+	Timeout time.Duration // -timeout: per-attempt limit; 0 means none
+	Retries int           // -retries: extra attempts for transient failures
+	Breaker int           // -breaker: per-net consecutive-failure threshold; 0 disables
+	Degrade bool          // -degrade: elmore-bound fallback for exhausted sim jobs
+}
+
+// AddEngine registers the engine flags on fs and returns the value
+// holder.
+func AddEngine(fs *flag.FlagSet) *EngineFlags {
+	f := &EngineFlags{}
+	f.register(fs)
+	return f
+}
+
+func (f *EngineFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&f.Workers, "workers", 0, "max concurrent batch jobs (0 = GOMAXPROCS)")
+	fs.DurationVar(&f.Timeout, "timeout", 0, "per-attempt time limit, e.g. 30s (0 = none)")
+	fs.IntVar(&f.Retries, "retries", 0, "retry transiently failing jobs up to `n` extra times with jittered backoff from 50ms, doubling to a 5s cap")
+	fs.BoolVar(&f.Degrade, "degrade", true, "answer sim jobs that exhaust their attempts with the closed-form elmore-bound interval instead of an error")
+	fs.IntVar(&f.Breaker, "breaker", 0, "cut off a net after `n` consecutive transient failures (0 = off)")
+}
+
+// Validate rejects flag values the engine would otherwise silently
+// coerce, so a typo'd -workers -1 fails loudly instead of running with
+// GOMAXPROCS workers.
+func (f *EngineFlags) Validate() error {
+	if f.Workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", f.Workers)
+	}
+	if f.Timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0, got %v", f.Timeout)
+	}
+	if f.Retries < 0 {
+		return fmt.Errorf("-retries must be >= 0, got %d", f.Retries)
+	}
+	if f.Breaker < 0 {
+		return fmt.Errorf("-breaker must be >= 0, got %d", f.Breaker)
+	}
+	return nil
+}
+
+// Engine builds the batch engine the flags describe — worker pool,
+// per-attempt timeout, a default-budget shared cache, and the
+// resilience layer (resilience.DefaultPolicy retries, circuit breaker,
+// degradation switch) — for every host: boundstat and sta add their
+// reporter, elmored swaps in its -cache-mb cache. Injected panics count
+// as retryable here — the chaos walkthrough drives unmodified binaries
+// through ELMORE_FAULTS.
+func (f *EngineFlags) Engine() *batch.Engine {
+	eng := &batch.Engine{
+		Workers:   f.Workers,
+		Timeout:   f.Timeout,
+		Cache:     batch.NewCache(),
+		NoDegrade: !f.Degrade,
+	}
+	if f.Retries > 0 {
+		eng.Retry = resilience.DefaultPolicy()
+		eng.Retry.MaxAttempts = f.Retries + 1
+		eng.Retry.RetryPanics = true
+	}
+	if f.Breaker > 0 {
+		eng.Breaker = &resilience.Breaker{Threshold: f.Breaker}
+	}
+	return eng
+}
+
 // BatchFlags holds the batch-mode flags shared by boundstat and sta:
 // -jobs switches the tool from its single-shot mode to streaming
 // NDJSON batch evaluation on the internal/batch engine.
 type BatchFlags struct {
+	EngineFlags
 	Jobs     string        // -jobs: NDJSON job stream file; "" means no batch mode
-	Workers  int           // -workers: max concurrent jobs; 0 means GOMAXPROCS
-	Timeout  time.Duration // -timeout: per-attempt limit; 0 means none
 	Progress time.Duration // -progress: progress-line period; 0 disables
 	SlowJobs time.Duration // -slow-jobs: slow-job log threshold; 0 disables
 	Summary  bool          // -summary: final NDJSON run summary
-
-	Resume       string        // -resume: crash-safe journal file; "" disables
-	JournalSync  int           // -journal-sync: done records per journal fsync batch; 0 = default (32)
-	Retries      int           // -retries: extra attempts for transient failures
-	RetryBackoff time.Duration // -retry-backoff: base backoff before a retry
-	Degrade      bool          // -degrade: elmore-bound fallback for exhausted sim jobs
-	Breaker      int           // -breaker: per-net consecutive-failure threshold; 0 disables
+	Resume   string        // -resume: crash-safe journal file; "" disables
 
 	// SLO declares latency objectives like "p99=50ms,p50=5ms". Each
 	// objective gets good/bad counts and a burn-rate gauge in the
@@ -119,47 +182,24 @@ type BatchFlags struct {
 	slos []telemetry.SLO // parsed by Validate
 }
 
-// AddBatch registers the batch-mode flags on fs and returns the value
-// holder.
+// AddBatch registers the batch-mode flags, the engine flags among them,
+// on fs and returns the value holder.
 func AddBatch(fs *flag.FlagSet) *BatchFlags {
 	b := &BatchFlags{}
 	fs.StringVar(&b.Jobs, "jobs", "", "evaluate the NDJSON job stream in `file` and emit NDJSON results")
-	fs.IntVar(&b.Workers, "workers", 0, "max concurrent batch jobs (0 = GOMAXPROCS)")
-	fs.DurationVar(&b.Timeout, "timeout", 0, "per-attempt time limit, e.g. 30s (0 = none)")
+	b.EngineFlags.register(fs)
 	fs.DurationVar(&b.Progress, "progress", 2*time.Second, "batch progress-line period on stderr (0 = off)")
 	fs.DurationVar(&b.SlowJobs, "slow-jobs", 0, "log batch jobs slower than `duration` as NDJSON to stderr (0 = off)")
 	fs.BoolVar(&b.Summary, "summary", false, "write a final NDJSON batch run summary to stderr")
-	fs.StringVar(&b.Resume, "resume", "", "crash-safe journal `file`: skip jobs it marks done, re-queue in-flight ones, record this run's completions")
-	fs.IntVar(&b.JournalSync, "journal-sync", 0, "fsync the -resume journal every `n` done records; bounds the crash duplicate window (0 = default 32)")
-	fs.IntVar(&b.Retries, "retries", 0, "retry transiently failing jobs up to `n` extra times with backoff")
-	fs.DurationVar(&b.RetryBackoff, "retry-backoff", 50*time.Millisecond, "base backoff before the first retry (doubles per attempt, jittered)")
-	fs.BoolVar(&b.Degrade, "degrade", true, "answer sim jobs that exhaust their attempts with the closed-form elmore-bound interval instead of an error")
-	fs.IntVar(&b.Breaker, "breaker", 0, "cut off a net after `n` consecutive transient failures (0 = off)")
+	fs.StringVar(&b.Resume, "resume", "", "crash-safe journal `file`: skip jobs it marks done, re-queue in-flight ones, record this run's completions (fsynced every 32 done records)")
 	fs.StringVar(&b.SLO, "slo", "", "latency objectives like `p99=50ms,p50=5ms`; tracked per run with burn-rate gauges and summary counts")
 	return b
 }
 
-// Validate rejects flag values the engine would otherwise silently
-// coerce, so a typo'd -workers -1 fails loudly instead of running with
-// GOMAXPROCS workers.
+// Validate checks the engine flags and parses -slo.
 func (b *BatchFlags) Validate() error {
-	if b.Workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", b.Workers)
-	}
-	if b.Timeout < 0 {
-		return fmt.Errorf("-timeout must be >= 0, got %v", b.Timeout)
-	}
-	if b.Retries < 0 {
-		return fmt.Errorf("-retries must be >= 0, got %d", b.Retries)
-	}
-	if b.RetryBackoff < 0 {
-		return fmt.Errorf("-retry-backoff must be >= 0, got %v", b.RetryBackoff)
-	}
-	if b.Breaker < 0 {
-		return fmt.Errorf("-breaker must be >= 0, got %d", b.Breaker)
-	}
-	if b.JournalSync < 0 {
-		return fmt.Errorf("-journal-sync must be >= 0, got %d", b.JournalSync)
+	if err := b.EngineFlags.Validate(); err != nil {
+		return err
 	}
 	slos, err := telemetry.ParseSLOs(b.SLO)
 	if err != nil {
@@ -167,33 +207,6 @@ func (b *BatchFlags) Validate() error {
 	}
 	b.slos = slos
 	return nil
-}
-
-// Engine builds the batch engine the flags describe: worker pool,
-// per-attempt timeout, shared cache, reporting, and the resilience
-// layer (retry policy, circuit breaker, degradation switch). Injected
-// panics count as retryable here — the chaos walkthrough drives
-// unmodified binaries through ELMORE_FAULTS.
-func (b *BatchFlags) Engine(stderr io.Writer) *batch.Engine {
-	eng := &batch.Engine{
-		Workers:   b.Workers,
-		Timeout:   b.Timeout,
-		Cache:     batch.NewCache(),
-		Report:    b.Reporter(stderr),
-		NoDegrade: !b.Degrade,
-	}
-	if b.Retries > 0 {
-		eng.Retry = &resilience.Policy{
-			MaxAttempts: b.Retries + 1,
-			BaseDelay:   b.RetryBackoff,
-			MaxDelay:    5 * time.Second,
-			RetryPanics: true,
-		}
-	}
-	if b.Breaker > 0 {
-		eng.Breaker = &resilience.Breaker{Threshold: b.Breaker}
-	}
-	return eng
 }
 
 // RunBatch executes the -jobs batch mode shared by boundstat and sta:
@@ -214,7 +227,11 @@ func (b *BatchFlags) RunBatch(ctx context.Context, lib *gate.Library, defaultSle
 	if err != nil {
 		return fmt.Errorf("-jobs: %w", err)
 	}
-	defer f.Close()
+	specs, err := batch.ReadSpecs(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
 	var (
 		jr *batch.Journal
 		rp *batch.Replay
@@ -224,7 +241,6 @@ func (b *BatchFlags) RunBatch(ctx context.Context, lib *gate.Library, defaultSle
 		if err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
-		jr.SyncEvery = b.JournalSync
 		defer func() { err = errors.Join(err, jr.Close()) }()
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -247,8 +263,11 @@ func (b *BatchFlags) RunBatch(ctx context.Context, lib *gate.Library, defaultSle
 		case <-ctx.Done():
 		}
 	}()
-	eng := b.Engine(stderr)
-	st, err := batch.RunSpecsJournal(ctx, eng, f, lib, defaultSlew, stdout, jr, rp)
+	eng := b.Engine()
+	eng.Report = b.Reporter(stderr)
+	st, err := batch.RunSpecs(ctx, eng, specs, stdout, batch.SpecRunOptions{
+		Lib: lib, DefaultSlew: defaultSlew, Journal: jr, Replay: rp,
+	})
 	if rp != nil && (st.Skipped > 0 || st.Requeued > 0) {
 		fmt.Fprintf(stderr, "resume: %d done jobs skipped, %d in-flight jobs re-queued\n", st.Skipped, st.Requeued)
 	}
@@ -269,7 +288,7 @@ func (b *BatchFlags) RunBatch(ctx context.Context, lib *gate.Library, defaultSle
 // output is disabled, so it can be assigned to Engine.Report directly.
 func (b *BatchFlags) Reporter(stderr io.Writer) *batch.Reporter {
 	if b.slos == nil && b.SLO != "" {
-		// Engine() without a prior Validate(): parse here, fail-soft;
+		// Reporter() without a prior Validate(): parse here, fail-soft;
 		// Validate reports malformed specs loudly on the RunBatch path.
 		b.slos, _ = telemetry.ParseSLOs(b.SLO)
 	}

@@ -50,10 +50,24 @@ func TestFlagsRegistered(t *testing.T) {
 func TestBatchFlagsRegistered(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	AddBatch(fs)
-	for _, name := range []string{"jobs", "workers", "timeout", "progress", "slow-jobs", "summary",
-		"resume", "retries", "retry-backoff", "degrade", "breaker"} {
+	want := []string{"jobs", "workers", "timeout", "progress", "slow-jobs", "summary",
+		"resume", "retries", "degrade", "breaker", "slo"}
+	for _, name := range want {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
+		}
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != len(want) {
+		t.Errorf("AddBatch registered %d flags, want exactly %v", n, want)
+	}
+	// elmored registers the engine subset on its own flag set.
+	efs := flag.NewFlagSet("engine", flag.ContinueOnError)
+	AddEngine(efs)
+	for _, name := range []string{"workers", "timeout", "retries", "degrade", "breaker"} {
+		if efs.Lookup(name) == nil {
+			t.Errorf("AddEngine: flag -%s not registered", name)
 		}
 	}
 }

@@ -72,9 +72,9 @@ func TestRunBatchSIGTERMDumpsAndResumes(t *testing.T) {
 
 	flags := func() *BatchFlags {
 		return &BatchFlags{
-			Jobs:    jobsPath,
-			Workers: 2,
-			Resume:  filepath.Join(dir, "journal.ndjson"),
+			Jobs:        jobsPath,
+			EngineFlags: EngineFlags{Workers: 2},
+			Resume:      filepath.Join(dir, "journal.ndjson"),
 		}
 	}
 

@@ -65,7 +65,7 @@ const (
 	// KindPanic makes Fire panic with a *Panic value.
 	KindPanic
 	// KindDelay makes Fire sleep for the rule's Delay before returning
-	// nil — the fuel for per-attempt timeouts and watchdogs.
+	// nil — the fuel for per-attempt timeouts and client deadlines.
 	KindDelay
 	// KindNaN makes Poison return NaN instead of the caller's value.
 	// Fire ignores NaN rules; Poison ignores all other kinds.

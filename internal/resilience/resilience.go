@@ -1,13 +1,13 @@
 // Package resilience carries the failure-handling machinery the batch
 // engine wires around every job: error classification, retry with
-// exponential backoff and jitter, a per-circuit circuit breaker, and a
-// stuck-job watchdog. Its design premise comes straight from the
-// paper: because the Elmore delay T_D = m1 is a *guaranteed* upper
-// bound on the 50% delay (Theorem 1) and max(mu-sigma, 0) a guaranteed
-// lower bound (Corollary 1), an expensive transient simulation that
-// keeps failing never has to take the answer down with it — the engine
-// can always degrade to the closed-form bound interval, which costs
-// one O(N) moment pass. This package decides *when* to give up on the
+// exponential backoff and jitter, and a per-circuit circuit breaker.
+// Its design premise comes straight from the paper: because the Elmore
+// delay T_D = m1 is a *guaranteed* upper bound on the 50% delay
+// (Theorem 1) and max(mu-sigma, 0) a guaranteed lower bound
+// (Corollary 1), an expensive transient simulation that keeps failing
+// never has to take the answer down with it — the engine can always
+// degrade to the closed-form bound interval, which costs one O(N)
+// moment pass. This package decides *when* to give up on the
 // expensive path; the batch engine performs the degradation.
 package resilience
 
@@ -397,181 +397,4 @@ func (b *Breaker) Open(fp uint64) bool {
 	defer b.mu.Unlock()
 	e, ok := b.m[fp]
 	return ok && e.state == stateOpen
-}
-
-// Watchdog notices jobs that run far past their expected time — a hung
-// loader, an un-cancellable spin — and reports them as health events
-// and telemetry counts while the run is still in flight, instead of
-// leaving the operator staring at a stalled progress line. It observes
-// and optionally cancels; it never kills goroutines.
-//
-// The scanner goroutine is reference-counted: the first watch() starts
-// it, the last stop stops it, so any number of concurrent batch runs
-// share one.
-type Watchdog struct {
-	// Threshold marks a job as stuck once its attempt has been running
-	// this long; <= 0 means 1 minute.
-	Threshold time.Duration
-	// Interval is the scan period; <= 0 means Threshold / 4.
-	Interval time.Duration
-	// CancelStuck also cancels the stuck attempt's context, turning a
-	// hang into a retryable context error.
-	CancelStuck bool
-	// OnStuck, when non-nil, receives each newly stuck job's label and
-	// running time (called from the scanner goroutine).
-	OnStuck func(label string, running time.Duration)
-
-	mu      sync.Mutex
-	active  map[uint64]*watchedJob
-	nextTok uint64
-	refs    int
-	stop    chan struct{}
-	done    chan struct{}
-	now     func() time.Time // test hook; nil means time.Now
-}
-
-// watchedJob is one registered attempt.
-type watchedJob struct {
-	label    string
-	started  time.Time
-	cancel   context.CancelFunc
-	reported bool
-}
-
-func (w *Watchdog) clock() time.Time {
-	if w.now != nil {
-		return w.now()
-	}
-	return time.Now()
-}
-
-func (w *Watchdog) threshold() time.Duration {
-	if w.Threshold > 0 {
-		return w.Threshold
-	}
-	return time.Minute
-}
-
-func (w *Watchdog) interval() time.Duration {
-	if w.Interval > 0 {
-		return w.Interval
-	}
-	return w.threshold() / 4
-}
-
-// Watch acquires the scanner for the duration of one batch run; the
-// returned stop function releases it. The scanner runs only while at
-// least one run holds it. No-op stop on a nil watchdog.
-func (w *Watchdog) Watch() (stop func()) {
-	if w == nil {
-		return func() {}
-	}
-	w.mu.Lock()
-	w.refs++
-	if w.refs == 1 {
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.scan(w.stop, w.done)
-	}
-	w.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			w.mu.Lock()
-			w.refs--
-			var stopCh, doneCh chan struct{}
-			if w.refs == 0 {
-				stopCh, doneCh = w.stop, w.done
-				w.stop, w.done = nil, nil
-			}
-			w.mu.Unlock()
-			if stopCh != nil {
-				close(stopCh)
-				<-doneCh
-			}
-		})
-	}
-}
-
-// Register enrolls one job attempt; the returned func deregisters it
-// and must be called when the attempt finishes. cancel may be nil.
-// No-op on a nil watchdog.
-func (w *Watchdog) Register(label string, cancel context.CancelFunc) (done func()) {
-	if w == nil {
-		return func() {}
-	}
-	w.mu.Lock()
-	w.nextTok++
-	tok := w.nextTok
-	if w.active == nil {
-		w.active = make(map[uint64]*watchedJob)
-	}
-	w.active[tok] = &watchedJob{label: label, started: w.clock(), cancel: cancel}
-	w.mu.Unlock()
-	return func() {
-		w.mu.Lock()
-		delete(w.active, tok)
-		w.mu.Unlock()
-	}
-}
-
-// scan is the watchdog goroutine body.
-func (w *Watchdog) scan(stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(w.interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			w.sweep()
-		}
-	}
-}
-
-// sweep flags every job running past the threshold (once per job).
-func (w *Watchdog) sweep() {
-	type stuck struct {
-		label   string
-		running time.Duration
-		cancel  context.CancelFunc
-	}
-	var found []stuck
-	now := w.clock()
-	thr := w.threshold()
-	w.mu.Lock()
-	for _, j := range w.active {
-		if j.reported {
-			continue
-		}
-		if running := now.Sub(j.started); running >= thr {
-			j.reported = true
-			found = append(found, stuck{j.label, running, j.cancel})
-		}
-	}
-	w.mu.Unlock()
-	for _, s := range found {
-		telemetry.C("resilience.stuck_jobs").Inc()
-		health.Note(health.Event{
-			Check:  "resilience.stuck_job",
-			Node:   s.label,
-			Detail: fmt.Sprintf("job running for %v (threshold %v)", s.running.Round(time.Millisecond), thr),
-		})
-		if telemetry.FlightEnabled() {
-			telemetry.FlightRecord(telemetry.FlightEvent{
-				Kind:  telemetry.FlightStuck,
-				Index: -1,
-				DurNS: s.running.Nanoseconds(),
-				Label: s.label,
-			})
-		}
-		if w.OnStuck != nil {
-			w.OnStuck(s.label, s.running)
-		}
-		if w.CancelStuck && s.cancel != nil {
-			telemetry.C("resilience.stuck_cancels").Inc()
-			s.cancel()
-		}
-	}
 }

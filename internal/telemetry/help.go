@@ -68,8 +68,6 @@ var standardHelp = map[string]string{
 	"resilience.breaker_opens":          "Circuit-breaker transitions to open.",
 	"resilience.breaker_probes":         "Half-open probe attempts allowed through a breaker.",
 	"resilience.breaker_rejects":        "Calls rejected by an open circuit breaker.",
-	"resilience.stuck_jobs":             "Jobs flagged by the watchdog as exceeding their deadline.",
-	"resilience.stuck_cancels":          "Stuck jobs the watchdog escalated to cancellation.",
 	"resilience.admitted":               "Requests admitted by the serve-mode limiter.",
 	"resilience.shed_rate":              "Requests shed because the tenant exceeded its token-bucket rate (HTTP 429).",
 	"resilience.shed_capacity":          "Requests shed at the process-wide in-flight cap (HTTP 503).",
