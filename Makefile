@@ -123,14 +123,18 @@ obs-smoke:
 		'TestWorkerLoopAllocBudget|TestFlightDisabledPathFree|TestMintTraceAllocFree|TestSketchBoundedMemory|TestReporterBoundedLatencyMemory' \
 		-count=1 -v -- ./internal/batch ./internal/telemetry
 
-# Serve-mode smoke (ISSUE 10 acceptance): elmored under 2x-capacity
-# load with seeded serve.decode faults must shed with Retry-After while
-# admitted requests meet the SLO, and a SIGTERM mid-batch must exit 0,
-# dump the flight ring, and resume the journaled batch exactly-once
-# after a restart. Driven end to end by loadgen; artifacts (trace,
-# flight dump, metrics snapshot, reports, logs) land in artifacts/.
+# Serve-mode contracts: elmored's own tests, under the race detector.
+# A real process SIGTERMed mid-way through a journaled batch exits 0,
+# dumps its flight ring and resumes exactly-once after a restart;
+# overload sheds with Retry-After (429 per tenant, 503 at capacity) and
+# counts the sheds in /metrics; distinct nets hold the cache to its
+# -cache-mb budget with evictions; SIGTERM always drains to exit 0.
+# Load and latency are measured open-loop by perfbench serve-open.
+# run_named_tests.sh fails the lane when a rename drops a test.
 serve-smoke:
-	bash scripts/serve_smoke.sh
+	GO=$(GO) bash scripts/run_named_tests.sh \
+		'TestProcessSIGTERMMidBatchResumesExactlyOnce|TestKillAndRestartExactlyOnce|TestRateShed429WithRetryAfter|TestCapacityShed503WithRetryAfter|TestDistinctNetsHoldFlatHeap|TestRunServesMetricsAndExitsZeroOnSIGTERM|TestSIGTERMAfterFirstHealthyDrains' \
+		-race -count=1 -v -- ./cmd/elmored
 
 fmt:
 	gofmt -l .

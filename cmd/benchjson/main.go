@@ -6,12 +6,14 @@
 //
 //	go test -run '^$' -bench . -benchmem . | benchjson -label after -merge -o BENCH_3.json
 //
-// Each benchmark line becomes an entry keyed by its name with the
+// Each benchmark becomes an entry keyed by its name with the
 // "Benchmark" prefix stripped (the rest is kept verbatim — a
 // -GOMAXPROCS suffix is indistinguishable from a sub-benchmark name
 // like workers-8, so before and after must be measured with the same
 // GOMAXPROCS) holding ns/op, B/op and allocs/op under the chosen label
-// ("before" or "after"). With -merge, entries already in the output
+// ("before" or "after"). The repeated lines of `go test -count N`
+// fold into one side: the median of each column, the sample count,
+// and the min and max ns/op. With -merge, entries already in the output
 // file are kept, so a before ledger can be filled in with after
 // numbers later. When an entry has both sides,
 // speedup = before.ns_op / after.ns_op is recorded.
@@ -23,7 +25,9 @@
 // reads two committed ledgers and prints a per-benchmark speedup table
 // (baseline ns/op over candidate ns/op; >1 means the candidate is
 // faster) plus the geometric-mean ratio over the shared entries, so
-// BENCH_N.json deltas across PRs need no manual comparison. Each
+// BENCH_N.json deltas across PRs need no manual comparison. A row is
+// marked "within noise" when the two sides' [min, max] ns/op ranges
+// overlap (a single-sample side is the point range of its ns/op). Each
 // side's "after" metrics are used when present, falling back to
 // "before".
 package main
@@ -51,11 +55,47 @@ func main() {
 	}
 }
 
-// metrics is one measured side of a benchmark entry.
+// metrics is one measured side of a benchmark entry: the median of
+// its samples, their count, and the spread of their ns/op.
 type metrics struct {
 	NsOp     float64 `json:"ns_op"`
 	BOp      int64   `json:"b_op"`
 	AllocsOp int64   `json:"allocs_op"`
+	Samples  int     `json:"samples,omitempty"`
+	NsMin    float64 `json:"ns_min,omitempty"`
+	NsMax    float64 `json:"ns_max,omitempty"`
+}
+
+// nsRange is the side's [min, max] ns/op; ledgers written before
+// samples were counted hold one sample, the point range of NsOp.
+func (m *metrics) nsRange() (lo, hi float64) {
+	if m.Samples == 0 {
+		return m.NsOp, m.NsOp
+	}
+	return m.NsMin, m.NsMax
+}
+
+// median returns the median of xs, sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// summarize folds one benchmark's ns/op, B/op and allocs/op sample
+// columns into a side.
+func summarize(cols *[3][]float64) *metrics {
+	m := &metrics{
+		NsOp:     median(cols[0]),
+		BOp:      int64(math.Round(median(cols[1]))),
+		AllocsOp: int64(math.Round(median(cols[2]))),
+		Samples:  len(cols[0]),
+	}
+	m.NsMin, m.NsMax = cols[0][0], cols[0][len(cols[0])-1] // median sorted the column
+	return m
 }
 
 // entry pairs the two sides of a benchmark and their ratio.
@@ -118,7 +158,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 	}
 
-	parsed := 0
+	samples := map[string]*[3][]float64{} // ns/op, B/op, allocs/op columns
 	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -131,31 +171,35 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if m == nil {
 			continue
 		}
-		met := &metrics{}
-		met.NsOp, _ = strconv.ParseFloat(m[2], 64)
-		if m[3] != "" {
-			met.BOp, _ = strconv.ParseInt(m[3], 10, 64)
+		cols := samples[m[1]]
+		if cols == nil {
+			cols = new([3][]float64)
+			samples[m[1]] = cols
 		}
-		if m[4] != "" {
-			met.AllocsOp, _ = strconv.ParseInt(m[4], 10, 64)
+		for c, v := range m[2:] {
+			x, _ := strconv.ParseFloat(v, 64) // a missing -benchmem column reads 0
+			cols[c] = append(cols[c], x)
 		}
-		e := doc.Benchmarks[m[1]]
-		if e == nil {
-			e = &entry{}
-			doc.Benchmarks[m[1]] = e
-		}
-		if *label == "before" {
-			e.Before = met
-		} else {
-			e.After = met
-		}
-		parsed++
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if parsed == 0 {
+	if len(samples) == 0 {
 		return errors.New("no benchmark lines on stdin")
+	}
+	lines := 0
+	for name, cols := range samples {
+		lines += len(cols[0])
+		e := doc.Benchmarks[name]
+		if e == nil {
+			e = &entry{}
+			doc.Benchmarks[name] = e
+		}
+		if *label == "before" {
+			e.Before = summarize(cols)
+		} else {
+			e.After = summarize(cols)
+		}
 	}
 
 	for _, e := range doc.Benchmarks {
@@ -171,8 +215,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "benchjson: %d %s entries -> %s (%d total)\n",
-		parsed, *label, *out, len(doc.Benchmarks))
+	fmt.Fprintf(stderr, "benchjson: %d %s entries from %d samples -> %s (%d total)\n",
+		len(samples), *label, lines, *out, len(doc.Benchmarks))
 	return nil
 }
 
@@ -205,7 +249,8 @@ func loadLedger(path string) (*ledger, error) {
 // ledgers. Ratio = baseline ns/op / candidate ns/op, so >1 means the
 // candidate is faster. Entries present on only one side are listed so
 // coverage changes are visible, and the geometric mean over the shared
-// entries summarizes the delta in one number.
+// entries summarizes the delta in one number. Rows whose sides' ns/op
+// ranges overlap are marked within noise.
 func runDiff(basePath, candPath string, stdout io.Writer) error {
 	base, err := loadLedger(basePath)
 	if err != nil {
@@ -243,7 +288,13 @@ func runDiff(basePath, candPath string, stdout io.Writer) error {
 			fmt.Fprintf(w, "%s\t%.0f\t%.0f\t-\n", name, b.NsOp, c.NsOp)
 		default:
 			ratio := b.NsOp / c.NsOp
-			fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.2fx\n", name, b.NsOp, c.NsOp, ratio)
+			note := ""
+			bLo, bHi := b.nsRange()
+			cLo, cHi := c.nsRange()
+			if bLo <= cHi && cLo <= bHi {
+				note = " (within noise)"
+			}
+			fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.2fx%s\n", name, b.NsOp, c.NsOp, ratio, note)
 			logSum += math.Log(ratio)
 			shared++
 		}

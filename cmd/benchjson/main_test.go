@@ -126,3 +126,54 @@ func TestRunDiff(t *testing.T) {
 		t.Error("missing candidate should fail")
 	}
 }
+
+// `go test -count 3` prints each benchmark three times: the side keeps
+// the median of the three samples with their min and max, the entry
+// count is the number of benchmarks, not lines, and -diff marks a row
+// within noise exactly when the two sides' ranges overlap.
+func TestRepeatedSamplesKeepMedianAndSpread(t *testing.T) {
+	const threeRuns = `BenchmarkAnalyzeBounds/n=100    	   50000	     30000 ns/op	   19504 B/op	       9 allocs/op
+BenchmarkElmoreDelays/n=100     	  100000	      1000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkAnalyzeBounds/n=100    	   50000	     10000 ns/op	   19504 B/op	       9 allocs/op
+BenchmarkElmoreDelays/n=100     	  100000	      1100 ns/op	       0 B/op	       0 allocs/op
+BenchmarkAnalyzeBounds/n=100    	   50000	     20000 ns/op	   19504 B/op	       9 allocs/op
+BenchmarkElmoreDelays/n=100     	  100000	      1200 ns/op	       0 B/op	       0 allocs/op
+`
+	const candidate = `BenchmarkAnalyzeBounds/n=100    	   50000	     25000 ns/op	   19504 B/op	       9 allocs/op
+BenchmarkElmoreDelays/n=100     	  200000	       500 ns/op	       0 B/op	       0 allocs/op
+`
+	dir := t.TempDir()
+	baseP := filepath.Join(dir, "BASE.json")
+	candP := filepath.Join(dir, "CAND.json")
+	var stderr strings.Builder
+	if err := run([]string{"-o", baseP}, strings.NewReader(threeRuns), os.Stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "2 after entries from 6 samples") {
+		t.Errorf("entry count: %q", stderr.String())
+	}
+	doc, err := loadLedger(baseP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab := doc.Benchmarks["AnalyzeBounds/n=100"].After
+	if ab.NsOp != 20000 || ab.Samples != 3 || ab.NsMin != 10000 || ab.NsMax != 30000 || ab.BOp != 19504 || ab.AllocsOp != 9 {
+		t.Errorf("AnalyzeBounds side = %+v, want median 20000 of 3 samples in [10000, 30000]", ab)
+	}
+	if err := run([]string{"-o", candP}, strings.NewReader(candidate), os.Stdout, os.Stderr); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-diff", baseP, candP}, strings.NewReader(""), &out, os.Stderr); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range strings.Split(out.String(), "\n") {
+		noisy := strings.Contains(l, "within noise")
+		switch {
+		case strings.HasPrefix(l, "AnalyzeBounds/n=100") && !noisy:
+			t.Errorf("25000 inside [10000, 30000] must be within noise: %q", l)
+		case strings.HasPrefix(l, "ElmoreDelays/n=100") && noisy:
+			t.Errorf("500 outside [1000, 1200] must not be within noise: %q", l)
+		}
+	}
+}

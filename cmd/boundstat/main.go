@@ -35,15 +35,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strings"
 
+	"elmore/internal/batch"
 	"elmore/internal/cliutil"
+	"elmore/internal/core"
 	"elmore/internal/exact"
-	"elmore/internal/moments"
-	"elmore/internal/rctree"
 	"elmore/internal/signal"
 	"elmore/internal/telemetry"
 	"elmore/internal/topo"
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		nTrees     = fs.Int("trees", 200, "number of random trees")
 		maxNodes   = fs.Int("max-nodes", 20, "max nodes per tree")
 		seed       = fs.Int64("seed", 1, "base random seed")
-		riseSpec   = fs.String("rise", "step,0.5n,2n", "comma-separated rise times ('step' for the ideal step)")
+		riseSpec   = fs.String("rise", "step,0.5n,2n", "comma-separated rise times ('step' or 0 for the ideal step)")
 		chaininess = fs.Float64("chaininess", 0.5, "tree shape parameter in [0,1]")
 	)
 	cf := cliutil.Add(fs)
@@ -117,19 +116,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	var sigs []signal.Signal
 	for _, tok := range strings.Split(*riseSpec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "step" {
-			sigs = append(sigs, signal.Step{})
-			continue
+		if strings.TrimSpace(tok) == "" {
+			return fmt.Errorf("-rise %q: empty list element", *riseSpec)
 		}
-		tr, err := rctree.ParseValue(tok)
+		sig, err := batch.ParseRise(tok)
 		if err != nil {
-			return fmt.Errorf("-rise %q: %w", tok, err)
+			return fmt.Errorf("-rise: %w", err)
 		}
-		sigs = append(sigs, signal.SaturatedRamp{Tr: tr})
-	}
-	if len(sigs) == 0 {
-		return fmt.Errorf("-rise: no signals")
+		sigs = append(sigs, sig)
 	}
 
 	ratios := make([][]float64, len(sigs))  // actual / T_D (or generalized upper)
@@ -149,25 +143,25 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		ms, err := moments.Compute(tree, 2)
+		an, err := core.AnalyzeContext(mctx, tree)
 		if err != nil {
 			return err
 		}
 		trees++
 		for i := 0; i < tree.N(); i++ {
 			nodes++
-			td := ms.Elmore(i)
-			sigma := ms.Sigma(i)
 			for si, sig := range sigs {
 				actual, err := sys.Delay(i, sig, 0)
 				if err != nil {
 					return err
 				}
-				// Upper bound: T_D for steps and symmetric-derivative
-				// ramps (Corollary 2).
-				upper := td
-				inMean := sig.DerivMean()
-				lower := math.Max(td+inMean-math.Sqrt(sigma*sigma+sig.DerivMu2()), 0) - sig.Cross(0.5)
+				// The shipped Corollary 1/2 bounds; for a step, ForInput
+				// reduces to [max(T_D - sigma, 0), T_D].
+				ib, err := an.ForInput(i, sig)
+				if err != nil {
+					return err
+				}
+				upper, lower := ib.Upper, ib.Lower
 				if actual > upper*(1+1e-9) {
 					violations++
 					fmt.Fprintf(stdout, "VIOLATION upper: tree %d node %s sig %v: %g > %g\n",

@@ -68,6 +68,28 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// A zero rise time is the step, as in the batch spec: the study runs
+// (the exact engine takes the step response) and reports both columns
+// alike. Negative rise times are rejected.
+func TestRiseZeroIsStep(t *testing.T) {
+	out, err := runCLI(t, "-trees", "20", "-max-nodes", "6", "-rise", "0,step")
+	if err != nil {
+		t.Fatalf("-rise 0: %v", err)
+	}
+	var rows []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "step ") {
+			rows = append(rows, l)
+		}
+	}
+	if len(rows) != 4 || rows[0] != rows[1] || rows[2] != rows[3] {
+		t.Errorf("-rise 0 rows differ from the step rows:\n%s", out)
+	}
+	if _, err := runCLI(t, "-trees", "2", "-rise", "-1n"); err == nil {
+		t.Error("negative rise should fail")
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	out, err := runCLI(t, "-version")
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"elmore/internal/batch"
 	"elmore/internal/cliutil"
 	"elmore/internal/core"
 	"elmore/internal/exact"
@@ -41,7 +42,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	var (
 		doExact  = fs.Bool("exact", false, "also compute exact 50% delays and rise times (O(N^3); trees up to a few hundred nodes)")
-		riseStr  = fs.String("rise", "", "input rise time (e.g. 1n) for generalized-input bounds; empty = step input")
+		riseStr  = fs.String("rise", "", "input rise time (e.g. 1n) for generalized-input bounds; empty or 0 = step input")
 		nodeSel  = fs.String("node", "", "report only this node (default: all nodes, topological order)")
 		asCSV    = fs.Bool("csv", false, "emit CSV instead of a text table")
 		simplify = fs.Bool("simplify", false, "merge zero-capacitance junctions before analysis")
@@ -55,6 +56,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	if cf.Version {
 		fmt.Fprintln(stdout, cliutil.Version("elmore"))
 		return nil
+	}
+	sig, err := batch.ParseRise(*riseStr)
+	if err != nil {
+		return fmt.Errorf("-rise: %w", err)
 	}
 	sess, err := cf.Start(stderr)
 	if err != nil {
@@ -103,16 +108,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		asp.End()
 		return err
-	}
-
-	var sig signal.Signal = signal.Step{}
-	if *riseStr != "" {
-		tr, err := rctree.ParseValue(*riseStr)
-		if err != nil {
-			asp.End()
-			return fmt.Errorf("-rise: %w", err)
-		}
-		sig = signal.SaturatedRamp{Tr: tr}
 	}
 
 	var sys *exact.System

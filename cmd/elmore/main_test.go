@@ -78,6 +78,26 @@ func TestExactAndRise(t *testing.T) {
 	}
 }
 
+// A zero rise time is the step: -rise 0 -exact prints the step report
+// instead of failing to drive the exact engine with a zero-width ramp.
+// Negative rise times are rejected.
+func TestRiseZeroIsStep(t *testing.T) {
+	step, _, err := runCLI(t, []string{"-exact"}, demoDeck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, _, err := runCLI(t, []string{"-exact", "-rise", "0"}, demoDeck)
+	if err != nil {
+		t.Fatalf("-rise 0 -exact: %v", err)
+	}
+	if zero != step {
+		t.Errorf("-rise 0 report differs from the step report:\n%s\nvs\n%s", zero, step)
+	}
+	if _, _, err := runCLI(t, []string{"-rise", "-1n"}, demoDeck); err == nil {
+		t.Error("negative rise should fail")
+	}
+}
+
 func TestNodeFilter(t *testing.T) {
 	out, _, err := runCLI(t, []string{"-node", "n1"}, demoDeck)
 	if err != nil {

@@ -35,56 +35,22 @@ func TestKillAndRestartExactlyOnce(t *testing.T) {
 	// --- incarnation A: interrupt mid-batch ---
 	sA := newServer(context.Background(), cfg)
 	tsA := httptest.NewServer(sA.handler())
-	seen := map[string]int{}
-	var sumA serveSummary
-
-	req, err := http.NewRequest(http.MethodPost, tsA.URL+"/v1/analyze?batch=b1", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	drained := make(chan error, 1)
-	sc := bufio.NewScanner(resp.Body)
-	kicked := false
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
-		}
-		if m["record"] == "serve_summary" {
-			if err := json.Unmarshal(sc.Bytes(), &sumA); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if errMsg, ok := m["error"]; ok && errMsg != nil {
-			t.Fatalf("job %v failed in run A: %v", m["id"], errMsg)
-		}
-		seen[m["id"].(string)]++
-		if !kicked && len(seen) >= 3 {
-			kicked = true
-			// The SIGTERM sequence from main, mid-stream: a short window,
-			// then force-cancel. The handler journals what it cancelled.
-			go func() { drained <- sA.drain(50 * time.Millisecond) }()
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	idsA, sumA := streamBatch(t, tsA.URL, "b1", body, 3, func() {
+		// The SIGTERM sequence from main, mid-stream: a short window,
+		// then force-cancel. The handler journals what it cancelled.
+		go func() { drained <- sA.drain(50 * time.Millisecond) }()
+	})
 	<-drained
 	tsA.Close()
 	if !sumA.Interrupted {
 		t.Fatalf("run A summary not interrupted: %+v (drain landed too late?)", sumA)
 	}
-	if len(seen) >= njobs {
+	if len(idsA) >= njobs {
 		t.Fatalf("run A emitted all %d jobs; nothing left to prove resume with", njobs)
 	}
-	if sumA.Emitted != len(seen) {
-		t.Fatalf("summary emitted=%d but stream carried %d results", sumA.Emitted, len(seen))
+	if sumA.Emitted != len(idsA) {
+		t.Fatalf("summary emitted=%d but stream carried %d results", sumA.Emitted, len(idsA))
 	}
 
 	// --- incarnation B: fresh server, same journal dir, same batch ---
@@ -94,27 +60,75 @@ func TestKillAndRestartExactlyOnce(t *testing.T) {
 	defer tsB.Close()
 	defer sB.cancelRun()
 
-	linesB, sumB, status := analyze(t, tsB.URL, body, map[string]string{"X-Batch-ID": "b1"})
-	if status != http.StatusOK {
-		t.Fatalf("resume status = %d", status)
-	}
+	idsB, sumB := streamBatch(t, tsB.URL, "b1", body, 0, nil)
 	if sumB.Interrupted {
 		t.Fatalf("resume run interrupted: %+v", sumB)
 	}
-	if sumB.Skipped != len(seen) {
-		t.Errorf("resume skipped %d jobs, but run A delivered %d", sumB.Skipped, len(seen))
+	if sumB.Skipped != len(idsA) {
+		t.Errorf("resume skipped %d jobs, but run A delivered %d", sumB.Skipped, len(idsA))
 	}
-	for _, m := range linesB {
-		if m["error"] != nil {
-			t.Fatalf("job %v failed in run B: %v", m["id"], m["error"])
+	assertExactlyOnce(t, njobs, idsA, idsB)
+}
+
+// streamBatch POSTs body as the journaled batch id and returns the job
+// IDs its stream delivered and the trailing summary, failing on any
+// job error. kick, when non-nil, runs once after the first kickAfter
+// results, while the batch is still streaming.
+func streamBatch(t *testing.T, url, id, body string, kickAfter int, kick func()) (ids []string, sum serveSummary) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/analyze?batch="+id, "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch %s: status %d", id, resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("bad line %q: %v", sc.Text(), err)
 		}
-		seen[m["id"].(string)]++
+		if m["record"] == "serve_summary" {
+			if err := json.Unmarshal(sc.Bytes(), &sum); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		if m["error"] != nil {
+			t.Fatalf("batch %s: job %v failed: %v", id, m["id"], m["error"])
+		}
+		ids = append(ids, m["id"].(string))
+		if kick != nil && len(ids) == kickAfter {
+			kick()
+		}
 	}
-	for i := 0; i < njobs; i++ {
+	if err := sc.Err(); err != nil {
+		t.Fatalf("batch %s: stream cut after %d results: %v", id, len(ids), err)
+	}
+	return ids, sum
+}
+
+// assertExactlyOnce fails unless the streams together deliver each of
+// the jobs j0..j(n-1) exactly once.
+func assertExactlyOnce(t *testing.T, n int, streams ...[]string) {
+	t.Helper()
+	seen := map[string]int{}
+	for _, ids := range streams {
+		for _, id := range ids {
+			seen[id]++
+		}
+	}
+	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("j%d", i)
 		if seen[id] != 1 {
 			t.Errorf("job %s delivered %d times across the restart, want exactly once", id, seen[id])
 		}
+		delete(seen, id)
+	}
+	for id := range seen {
+		t.Errorf("stream delivered unknown job %s", id)
 	}
 }
 

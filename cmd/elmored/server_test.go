@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -154,6 +156,9 @@ func TestBoundRejectsMalformedSpec(t *testing.T) {
 func TestRateShed429WithRetryAfter(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rate, cfg.Burst = 1, 2
+	reg := telemetry.NewRegistry()
+	prevReg := telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prevReg)
 	_, ts := startTestServer(t, cfg)
 	// The tenant's burst admits two; the third inside the same second
 	// must shed with 429 + Retry-After.
@@ -177,8 +182,25 @@ func TestRateShed429WithRetryAfter(t *testing.T) {
 	if statuses[0] != http.StatusOK || statuses[1] != http.StatusOK {
 		t.Fatalf("burst requests shed: %v", statuses)
 	}
+	// The shed shows in the /metrics exposition.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	shedRow := false
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "serve_requests_shed" {
+			n, err := strconv.ParseFloat(f[1], 64)
+			shedRow = err == nil && n >= 1
+		}
+	}
+	if !shedRow {
+		t.Fatalf("/metrics has no serve_requests_shed >= 1 after a shed:\n%s", metrics)
+	}
 	// Another tenant is unaffected.
-	resp, err := http.Post(ts.URL+"/v1/bound?tenant=globex", "application/json", strings.NewReader(specLine("r")))
+	resp, err = http.Post(ts.URL+"/v1/bound?tenant=globex", "application/json", strings.NewReader(specLine("r")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,6 +374,25 @@ func TestReadSpecsAndMaterialize(t *testing.T) {
 	}
 }
 
+// ParseRise is the one rise parser of specs and CLI flags: "", "step"
+// and a zero duration are the step, a positive duration is a ramp, and
+// a negative or malformed one is an error.
+func TestParseRise(t *testing.T) {
+	for _, tok := range []string{"", "step", " step ", "0", "0n"} {
+		if s, err := ParseRise(tok); err != nil || s != signal.Signal(signal.Step{}) {
+			t.Errorf("ParseRise(%q) = %v, %v; want the step", tok, s, err)
+		}
+	}
+	if s, err := ParseRise("1n"); err != nil || s != signal.Signal(signal.SaturatedRamp{Tr: 1e-9}) {
+		t.Errorf("ParseRise(1n) = %v, %v; want a 1ns ramp", s, err)
+	}
+	for _, tok := range []string{"-1n", "zzz"} {
+		if _, err := ParseRise(tok); err == nil {
+			t.Errorf("ParseRise(%q) should fail", tok)
+		}
+	}
+}
+
 func TestReadSpecsRejectsMalformedLines(t *testing.T) {
 	if _, err := ReadSpecs(strings.NewReader("{\"id\":\"ok\",\"net\":\"a\"}\n{broken\n")); err == nil ||
 		!strings.Contains(err.Error(), "line 2") {

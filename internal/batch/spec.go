@@ -101,9 +101,10 @@ func ReadSpecs(r io.Reader) ([]JobSpec, error) {
 	return specs, nil
 }
 
-// ParseRise converts a -rise style token into a signal: "" or "step"
-// yields the ideal step, a duration yields a saturated ramp (a zero
-// duration degenerates to the step; negative durations are rejected).
+// ParseRise converts a -rise style token into a signal: "", "step" or
+// a zero duration yields the ideal step, a positive duration a
+// saturated ramp; negative durations are rejected. It is the one rise
+// parser of the batch specs and the CLIs' -rise flags.
 func ParseRise(tok string) (signal.Signal, error) {
 	tok = strings.TrimSpace(tok)
 	if tok == "" || tok == "step" {
@@ -112,6 +113,9 @@ func ParseRise(tok string) (signal.Signal, error) {
 	tr, err := rctree.ParseValue(tok)
 	if err != nil {
 		return nil, fmt.Errorf("rise %q: %w", tok, err)
+	}
+	if tr == 0 {
+		return signal.Step{}, nil
 	}
 	s := signal.SaturatedRamp{Tr: tr}
 	if err := signal.Validate(s); err != nil {

@@ -1,9 +1,12 @@
 // Package cliutil carries the flags and lifecycle shared by every
 // cmd/* tool: observability switches (-trace, -metrics, -debug-addr,
-// -strict-numerics, -health-log), the -version flag, and the session
-// object that opens/flushes the trace file, installs the process-wide
-// metrics registry and numerical-health monitor, and serves
-// net/http/pprof + expvar + Prometheus /metrics for live inspection.
+// -strict-numerics, -health-log), contention profiling (-mutex-profile,
+// -block-profile, -profile-dir, -runtime-sample), the flight recorder
+// (-flight-dump, a fixed 512-event ring per worker shard), the -version
+// flag, and the session object that opens/flushes the trace file,
+// installs the process-wide metrics registry and numerical-health
+// monitor, and serves net/http/pprof + expvar + Prometheus /metrics for
+// live inspection.
 //
 // The intended wiring inside a tool's run function:
 //
@@ -71,8 +74,6 @@ type Flags struct {
 	// slow-job breach, or an injected fault). Recording itself is
 	// lock-free and zero-allocation; only dumps touch the file.
 	FlightDump string
-	// FlightEvents sizes each per-worker ring (0 = 512 events).
-	FlightEvents int
 }
 
 // Add registers the shared flags on fs and returns the value holder.
@@ -89,7 +90,6 @@ func Add(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.ProfileDir, "profile-dir", "", "write pprof profiles (heap, plus mutex/block when enabled) into `dir` on exit")
 	fs.DurationVar(&f.RuntimeSample, "runtime-sample", 0, "sample runtime/metrics (GC pauses, sched latency, goroutines) every `period` into the metrics registry and trace (0 = off)")
 	fs.StringVar(&f.FlightDump, "flight-dump", "", "keep an in-memory flight recorder of recent spans/events and dump it as NDJSON to `file` on SIGQUIT, panics, breaker trips, slow jobs and injected faults")
-	fs.IntVar(&f.FlightEvents, "flight-events", 0, "flight-recorder ring size per worker shard, rounded up to a power of two (0 = 512)")
 	return f
 }
 
@@ -409,7 +409,7 @@ func (f *Flags) Start(stderr io.Writer) (*Session, error) {
 		s.prev = telemetry.SetDefault(s.reg)
 	}
 	if f.FlightDump != "" {
-		s.flight = telemetry.NewFlightRecorder(runtime.GOMAXPROCS(0), f.FlightEvents)
+		s.flight = telemetry.NewFlightRecorder(runtime.GOMAXPROCS(0), 0)
 		s.flight.SetDumpPath(f.FlightDump)
 		s.prevFlight = telemetry.SetFlightRecorder(s.flight)
 		// While the recorder is live, SIGQUIT means "dump the ring and

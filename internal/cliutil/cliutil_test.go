@@ -40,10 +40,17 @@ func TestVersionString(t *testing.T) {
 func TestFlagsRegistered(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Add(fs)
-	for _, name := range []string{"trace", "metrics", "debug-addr", "version", "strict-numerics", "health-log"} {
+	want := []string{"trace", "metrics", "debug-addr", "version", "strict-numerics", "health-log",
+		"mutex-profile", "block-profile", "profile-dir", "runtime-sample", "flight-dump"}
+	for _, name := range want {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != len(want) {
+		t.Errorf("Add registered %d flags, want exactly %v", n, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 package telemetry
 
 // Declarative latency objectives ("-slo p99=50ms,p50=2ms") with
-// good/bad-event accounting and burn-rate gauges — the assertion
-// substrate serve mode and cmd/loadgen will drive. An event is good
-// for an objective when the job succeeded and finished within the
+// good/bad-event accounting and burn-rate gauges, shared by the batch
+// CLIs' -summary record and elmored's serve.slo.* gauges. An event is
+// good for an objective when the job succeeded and finished within the
 // objective's target; errors count against every objective. The burn
 // rate is the classic SRE ratio:
 //
